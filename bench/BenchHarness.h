@@ -62,7 +62,7 @@ struct RunResult {
   uint64_t InternedMisses = 0;
   uint64_t PhysicalSetBytes = 0; ///< Bytes of distinct solution sets.
   uint64_t RoutedSetBytes = 0;   ///< Bytes if every rep held a private copy.
-  /// Compact "ag.metrics.v5" JSON for this run, captured when the run was
+  /// Compact "ag.metrics.v6" JSON for this run, captured when the run was
   /// made with CaptureMetrics (empty otherwise). Bench binaries embed it
   /// verbatim into their BENCH_*.json rows instead of hand-plumbing
   /// individual counter fields.
@@ -78,10 +78,9 @@ struct RunResult {
 /// separately, as in Table 3).
 RunResult runSolver(const Suite &S, SolverKind Kind, PtsRepr Repr);
 
-/// As above, with explicit solver options — e.g. SolverOptions::Threads to
-/// route LCD / LCD+HCD through the parallel wavefront solver. With
-/// \p CaptureMetrics, the metrics channel is enabled and reset around the
-/// solve and the run's registry snapshot lands in RunResult::MetricsJson.
+/// As above, with explicit solver options. With \p CaptureMetrics, the
+/// metrics channel is enabled and reset around the solve and the run's
+/// registry snapshot lands in RunResult::MetricsJson.
 RunResult runSolver(const Suite &S, SolverKind Kind, PtsRepr Repr,
                     const SolverOptions &Opts, bool CaptureMetrics = false);
 

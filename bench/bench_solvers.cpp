@@ -1,4 +1,4 @@
-//===- bench_solvers.cpp - Solver comparison + parallel speedup -----------===//
+//===- bench_solvers.cpp - Solver comparison ------------------------------===//
 //
 // Part of the grasshopper project, reproducing Hardekopf & Lin, PLDI 2007.
 //
@@ -7,18 +7,12 @@
 /// \file
 /// Machine-readable solver comparison: for every algorithm (bitmap sets),
 /// cold wall-clock time plus the min of three repetitions, an embedded
-/// "ag.metrics.v5" snapshot and peak tracked bytes per suite; then the
-/// parallel wavefront solver at 1/2/4/8 threads against sequential
-/// LCD+HCD, verifying bit-identical solutions and recording the speedup.
-/// A "memory" section records the memory-kernel story per suite (arena
-/// slab high-water mark, set-interning hit rate, physical vs routed
-/// solution bytes) from the LCD+HCD run. Results land in
-/// BENCH_solvers.json (argv[2] or the working directory).
-///
-/// The JSON records the host's hardware concurrency alongside the speedups:
-/// parallel numbers are only meaningful relative to the cores the run
-/// actually had (on a single-core host the speedup ceiling is 1.0 and the
-/// sharding/locking overhead is all that shows).
+/// "ag.metrics.v6" snapshot and peak tracked bytes per suite. A "memory"
+/// section records the memory-kernel story per suite (arena slab
+/// high-water mark, set-interning hit rate, physical vs routed solution
+/// bytes) from the LCD+HCD run. Results land in BENCH_solvers.json
+/// (argv[2] or the working directory), together with the host's
+/// hardware concurrency.
 ///
 /// An "obs_overhead" section times the LCD/bitmap solve with all
 /// observability channels off vs trace+metrics on: the disabled time is
@@ -51,8 +45,7 @@ struct SolverRow {
   double WallMs = 0; ///< Min of SolverReps repetitions.
   uint64_t WorklistPops = 0;
   uint64_t PeakBytes = 0;
-  uint64_t Hash = 0;
-  std::string MetricsJson; ///< Compact ag.metrics.v5 object for this run.
+  std::string MetricsJson; ///< Compact ag.metrics.v6 object for this run.
 };
 
 /// Memory-kernel numbers for one suite (from the cold LCD+HCD run).
@@ -65,18 +58,6 @@ struct MemoryRow {
   uint64_t PeakBitmapBytes = 0;
   uint64_t PhysicalSetBytes = 0;
   uint64_t RoutedSetBytes = 0;
-};
-
-struct ParallelRow {
-  std::string Suite;
-  unsigned Threads = 0;
-  double WallMs = 0;
-  double Speedup = 0; ///< Sequential LCD+HCD wall time / this wall time.
-  double Scaling = 0; ///< 1-thread parallel wall time / this wall time.
-  uint64_t ParallelRounds = 0;
-  uint64_t Propagations = 0;
-  bool Identical = false; ///< Solution hash equals the sequential run's.
-  std::string MetricsJson; ///< Compact ag.metrics.v5 object for this run.
 };
 
 void appendJsonEscaped(std::string &Out, const std::string &S) {
@@ -95,15 +76,12 @@ int main(int Argc, char **Argv) {
   double Scale = scaleFromArgs(Argc, Argv);
   std::string OutPath =
       Argc > 2 ? Argv[2] : std::string("BENCH_solvers.json");
-  printHeader("Solver comparison + parallel wavefront speedup",
-              "Tables 3-5, parallel extension", Scale);
+  printHeader("Solver comparison", "Tables 3-5", Scale);
   unsigned HostCores = std::thread::hardware_concurrency();
 
   std::vector<Suite> Suites = loadSuites(Scale);
   std::vector<SolverRow> Rows;
   std::vector<MemoryRow> MemRows;
-  std::vector<ParallelRow> ParRows;
-  bool AllIdentical = true;
   // Per-kind repetitions: the first is recorded as the cold time, the
   // minimum of all reps as the steady-state wall time (min, not mean —
   // noise is one-sided).
@@ -125,7 +103,6 @@ int main(int Argc, char **Argv) {
       }
       Row.WorklistPops = R.Stats.WorklistPops;
       Row.PeakBytes = R.PeakBitmapBytes + R.PeakBddBytes;
-      Row.Hash = R.SolutionHash;
       Row.MetricsJson = std::move(R.MetricsJson);
       if (Kind == SolverKind::LCDHCD) {
         MemoryRow M;
@@ -144,43 +121,6 @@ int main(int Argc, char **Argv) {
                   static_cast<unsigned long long>(Row.WorklistPops),
                   R.peakMb());
       Rows.push_back(std::move(Row));
-    }
-
-    // Parallel wavefront at each thread count vs the sequential LCD+HCD
-    // run just recorded.
-    double SeqMs = 0;
-    uint64_t SeqHash = 0;
-    for (const SolverRow &Row : Rows)
-      if (Row.Suite == S.Name && Row.Kind == "LCD+HCD") {
-        SeqMs = Row.WallMs;
-        SeqHash = Row.Hash;
-      }
-    double OneThreadMs = 0;
-    for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-      SolverOptions Opts;
-      Opts.Threads = Threads;
-      RunResult R = runSolver(S, SolverKind::LCDHCD, PtsRepr::Bitmap, Opts,
-                              /*CaptureMetrics=*/true);
-      ParallelRow P;
-      P.Suite = S.Name;
-      P.Threads = Threads;
-      P.WallMs = R.Seconds * 1e3;
-      if (Threads == 1)
-        OneThreadMs = P.WallMs;
-      P.Speedup = P.WallMs > 0 ? SeqMs / P.WallMs : 0;
-      P.Scaling = P.WallMs > 0 ? OneThreadMs / P.WallMs : 0;
-      P.ParallelRounds = R.Stats.ParallelRounds;
-      P.Propagations = R.Stats.Propagations;
-      P.Identical = R.SolutionHash == SeqHash;
-      P.MetricsJson = std::move(R.MetricsJson);
-      AllIdentical &= P.Identical;
-      std::printf("  par x%-2u  %10.2f ms  speedup %5.2f  scaling %5.2f  "
-                  "rounds %llu  props %llu  %s\n",
-                  Threads, P.WallMs, P.Speedup, P.Scaling,
-                  static_cast<unsigned long long>(P.ParallelRounds),
-                  static_cast<unsigned long long>(P.Propagations),
-                  P.Identical ? "identical" : "DIVERGED");
-      ParRows.push_back(std::move(P));
     }
   }
 
@@ -266,21 +206,6 @@ int main(int Argc, char **Argv) {
     Json += I + 1 == MemRows.size() ? "\n" : ",\n";
   }
   Json += "  ],\n";
-  Json += "  \"parallel_lcdhcd\": [\n";
-  for (size_t I = 0; I != ParRows.size(); ++I) {
-    const ParallelRow &P = ParRows[I];
-    Json += "    {\"suite\": \"";
-    appendJsonEscaped(Json, P.Suite);
-    Json += "\", \"threads\": " + std::to_string(P.Threads) +
-            ", \"wall_ms\": " + std::to_string(P.WallMs) +
-            ", \"speedup_vs_sequential\": " + std::to_string(P.Speedup) +
-            ", \"scaling_vs_one_thread\": " + std::to_string(P.Scaling) +
-            ", \"solution_identical\": " +
-            (P.Identical ? "true" : "false") +
-            ", \"metrics\": " + P.MetricsJson + "}";
-    Json += I + 1 == ParRows.size() ? "\n" : ",\n";
-  }
-  Json += "  ],\n";
   Json += "  \"obs_overhead\": {\"suite\": \"";
   appendJsonEscaped(Json, GuardSuite.Name);
   Json += "\", \"kind\": \"LCD\", \"repr\": \"bitmap\", \"reps\": " +
@@ -299,7 +224,5 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: cannot write %s\n", OutPath.c_str());
     return 1;
   }
-  std::printf("parallel solutions bit-identical to sequential: %s\n",
-              AllIdentical ? "yes" : "NO — BUG");
-  return AllIdentical ? 0 : 1;
+  return 0;
 }

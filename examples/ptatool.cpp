@@ -31,18 +31,15 @@
 ///                                        cross-checks every solver kind
 ///
 /// solve, snapshot and resolve accept resource-budget flags (--timeout,
-/// --max-mem-mb, --max-steps, --no-fallback), plus --threads <n> to run
-/// the parallel wavefront solver (LCD / LCD+HCD over bitmaps; budgets
-/// still apply — workers poll the governor cooperatively) and
-/// --stall-timeout <s> to arm the stall watchdog on parallel solves, and
-/// report how the run concluded through their exit code:
+/// --max-mem-mb, --max-steps, --no-fallback) and report how the run
+/// concluded through their exit code:
 ///   0  precise solve within budget
 ///   1  error (bad input, unreadable file)
 ///   2  usage
 ///   3  budget tripped; the Steensgaard fallback solution was used
 ///   4  budget tripped with --no-fallback; partial (unsound) state printed
-///   5  stall watchdog tripped (the fallback/partial rules above still
-///      decide what was printed; the exit code reports the stall)
+///   5  reserved (formerly a stall-watchdog trip); never returned and
+///      never reused
 /// snapshot writes its output for exit codes 0 and 3 (a fallback snapshot
 /// still serves queries soundly, but cannot seed `resolve`) and writes
 /// nothing on 4. When snapshot's output path is an existing directory it
@@ -110,15 +107,10 @@ constexpr int ExitError = 1;
 constexpr int ExitUsage = 2;
 constexpr int ExitFallback = 3;
 constexpr int ExitPartial = 4;
-constexpr int ExitStalled = 5;
+// 5 is reserved; see the file header.
 
-/// Maps a governed outcome to the exit code. A stall watchdog trip
-/// dominates: the caller learns the solve hung (and was converted into a
-/// governed cancellation) even though fallback/partial output rules
-/// already ran.
-int outcomeExit(SolveOutcome Outcome, const Status &St) {
-  if (St.code() == StatusCode::Stalled)
-    return ExitStalled;
+/// Maps a governed outcome to the exit code.
+int outcomeExit(SolveOutcome Outcome) {
   if (Outcome == SolveOutcome::Fallback)
     return ExitFallback;
   if (Outcome == SolveOutcome::Partial)
@@ -134,7 +126,7 @@ int usage() {
                "HT+HCD|PKH+HCD|BLQ+HCD|LCD+HCD|Naive]\n"
                "               [--timeout <seconds>] [--max-mem-mb <mb>]\n"
                "               [--max-steps <n>] [--no-fallback] [--stats]\n"
-               "               [--threads <n>] [--trace-out=<file>]\n"
+               "               [--trace-out=<file>]\n"
                "               [--metrics-out=<file>] "
                "[--metrics-interval-ms=<n>]\n"
                "       ptatool query <file.cons> <a> <b> | --pts <v> | "
@@ -160,17 +152,15 @@ int usage() {
                "       ptatool resolve <file.snap> <delta.cons> "
                "[budget flags]\n"
                "       ptatool check <file.cons|file.snap> [algo] [--all] "
-               "[--bdd] [--threads <n>]\n"
+               "[--bdd]\n"
                "budget flags: --timeout <s> --max-mem-mb <mb> --max-steps "
                "<n> --no-fallback\n"
-               "              --threads <n> --stall-timeout <s> "
-               "--inject-fault <site>:<n>\n"
+               "              --inject-fault <site>:<n>\n"
                "solve/snapshot/resolve exit codes: 0 precise, 1 error, "
-               "2 usage, 3 fallback, 4 partial, 5 stalled\n"
+               "2 usage, 3 fallback, 4 partial\n"
                "query exit codes: 0 demand/precise, 1 error, 2 usage, "
                "3 escalated to fallback,\n"
-               "                  4 budget tripped with --no-fallback, "
-               "5 stalled\n");
+               "                  4 budget tripped with --no-fallback\n");
   return ExitUsage;
 }
 
@@ -508,8 +498,7 @@ int parseSolveFlags(int Argc, char **Argv, int Start, bool AllowKind,
     } else if (Arg == "--stats") {
       F.MemStats = true;
     } else if (Arg == "--timeout" || Arg == "--max-mem-mb" ||
-               Arg == "--max-steps" || Arg == "--threads" ||
-               Arg == "--stall-timeout" || Arg == "--inject-fault" ||
+               Arg == "--max-steps" || Arg == "--inject-fault" ||
                Arg == "--keep" || Arg == "--max-queue" ||
                Arg == "--deadline-ms" || Arg == "--attempts" ||
                Arg == "--backoff" || Arg == "--metrics-port" ||
@@ -530,8 +519,6 @@ int parseSolveFlags(int Argc, char **Argv, int Start, bool AllowKind,
         F.Budget.MaxMemoryBytes = Mb << 20;
       } else if (Arg == "--max-steps") {
         Valid = parsePositiveU64(Value, F.Budget.MaxPropagations);
-      } else if (Arg == "--stall-timeout") {
-        Valid = parsePositiveDouble(Value, F.Opts.StallTimeoutSeconds);
       } else if (Arg == "--inject-fault") {
         Valid = armInjectedFault(Value);
       } else if (Arg == "--keep") {
@@ -565,17 +552,8 @@ int parseSolveFlags(int Argc, char **Argv, int Start, bool AllowKind,
         Valid = parsePositiveU64(Value, F.MaxConns);
       } else if (Arg == "--idle-timeout-ms") {
         Valid = parsePositiveU64(Value, F.IdleTimeoutMs);
-      } else if (Arg == "--slow-ms") {
+      } else { // --slow-ms
         Valid = parsePositiveDouble(Value, F.SlowMs);
-      } else { // --threads
-        // Parallel wavefront solving applies to LCD / LCD+HCD (the default
-        // algorithm) over bitmap sets; other kinds quietly run sequential.
-        // Budgets compose: workers poll the governor cooperatively, so
-        // --timeout and friends still trip (at shard granularity).
-        uint64_t N = 0;
-        constexpr uint64_t MaxThreads = 256;
-        Valid = parsePositiveU64(Value, N) && N <= MaxThreads;
-        F.Opts.Threads = static_cast<unsigned>(N);
       }
       if (!Valid) {
         std::fprintf(stderr, "error: bad value '%s' for %s\n", Value,
@@ -664,7 +642,7 @@ int cmdSolve(int Argc, char **Argv) {
                 static_cast<unsigned long long>(Sh.PhysicalBytes >> 10),
                 static_cast<unsigned long long>(Sh.RoutedBytes >> 10));
   }
-  return outcomeExit(R.Outcome, R.St);
+  return outcomeExit(R.Outcome);
 }
 
 /// `ptatool query`: answer one query through the demand tier — no full
@@ -673,7 +651,7 @@ int cmdSolve(int Argc, char **Argv) {
 /// under the same budget with the Steensgaard fallback allowed, so the
 /// answer stays sound and the exit code reports how it was reached:
 /// 0 demand/precise, 3 escalated to fallback, 4 budget tripped with
-/// --no-fallback (no sound answer; nothing printed), 5 stalled.
+/// --no-fallback (no sound answer; nothing printed).
 int cmdQuery(int Argc, char **Argv) {
   if (Argc < 5)
     return usage();
@@ -756,8 +734,6 @@ int cmdQuery(int Argc, char **Argv) {
   }
   if (!St.ok()) {
     std::fprintf(stderr, "error: %s\n", St.toString().c_str());
-    if (St.code() == StatusCode::Stalled)
-      return ExitStalled;
     return St.isBudgetTrip() ? ExitPartial : ExitError;
   }
   std::printf("answered by: %s (memo %llu classes)\n",
@@ -795,7 +771,7 @@ int cmdSnapshot(int Argc, char **Argv) {
                  "warning: budget tripped with --no-fallback; partial "
                  "solution NOT written (%s)\n",
                  R.St.toString().c_str());
-    return outcomeExit(SolveOutcome::Partial, R.St);
+    return ExitPartial;
   }
 
   Snapshot Snap;
@@ -837,7 +813,7 @@ int cmdSnapshot(int Argc, char **Argv) {
   }
   if (R.Outcome == SolveOutcome::Fallback)
     std::printf("  budget: %s\n", R.St.toString().c_str());
-  return outcomeExit(R.Outcome, R.St);
+  return outcomeExit(R.Outcome);
 }
 
 /// The networked serve path's drain plumbing: SIGTERM/SIGINT ask the
@@ -1006,7 +982,6 @@ int cmdCheck(int Argc, char **Argv) {
   const std::string Path = Argv[2];
   SolverKind Kind = SolverKind::LCDHCD;
   PtsRepr Repr = PtsRepr::Bitmap;
-  unsigned Threads = 0;
   bool All = false;
   bool SawKind = false;
   for (int I = 3; I < Argc; ++I) {
@@ -1015,14 +990,6 @@ int cmdCheck(int Argc, char **Argv) {
       All = true;
     } else if (Arg == "--bdd") {
       Repr = PtsRepr::Bdd;
-    } else if (Arg == "--threads") {
-      uint64_t N = 0;
-      if (I + 1 >= Argc || !parsePositiveU64(Argv[I + 1], N) || N > 256) {
-        std::fprintf(stderr, "error: --threads expects a value\n");
-        return usage();
-      }
-      Threads = static_cast<unsigned>(N);
-      ++I;
     } else if (!SawKind && parseKind(Arg, Kind)) {
       SawKind = true;
     } else {
@@ -1071,12 +1038,11 @@ int cmdCheck(int Argc, char **Argv) {
   SolverKind FirstKind = Kinds.front();
   PointsToSolution FirstSol;
   for (size_t I = 0; I != Kinds.size(); ++I) {
-    PointsToSolution Sol = solveFnFor(Kinds[I], Repr, Threads)(CS);
+    PointsToSolution Sol = solveFnFor(Kinds[I], Repr)(CS);
     CheckReport R = checkSolution(CS, Sol);
     uint64_t Hash = Sol.hash();
-    std::printf("check %s with %s (threads %u): %s, hash %016llx\n",
-                Path.c_str(), solverKindName(Kinds[I]), Threads,
-                R.summary(CS).c_str(),
+    std::printf("check %s with %s: %s, hash %016llx\n", Path.c_str(),
+                solverKindName(Kinds[I]), R.summary(CS).c_str(),
                 static_cast<unsigned long long>(Hash));
     if (!R.ok())
       AllOk = false;
@@ -1139,7 +1105,7 @@ int cmdResolve(int Argc, char **Argv) {
                   R.Solution.totalPointsToSize()),
               static_cast<unsigned long long>(R.Solution.hash()));
   std::printf("%s", R.Stats.toString("  ").c_str());
-  return outcomeExit(R.Outcome, R.St);
+  return outcomeExit(R.Outcome);
 }
 
 } // namespace

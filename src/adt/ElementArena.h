@@ -13,18 +13,20 @@
 /// into contiguous slabs (the linear merge kernels walk them in list
 /// order, so locality matters).
 ///
-/// Ownership model (DESIGN.md §13): a solver context owns its arenas and
-/// declares them *before* every set vector, so unwind destruction frees
-/// all elements back into live arenas before the slabs go away. A
+/// Ownership model (DESIGN.md §13): a solver context owns its arena and
+/// declares it *before* every set vector, so unwind destruction frees
+/// all elements back into the live arena before the slabs go away. A
 /// SparseBitVector binds to at most one arena for its whole lifetime;
 /// every element it ever allocates or frees goes through that arena.
 ///
 /// Thread safety: each arena is internally thread-safe behind a tiny
-/// spinlock. Correctness therefore never depends on lock alignment with
-/// the parallel solver's stripe locks — sets (and the elements inside
-/// them) may migrate between nodes across merges without violating any
-/// arena invariant. The parallel solver still shards arenas by node
-/// stripe purely to keep the spinlocks uncontended.
+/// spinlock. Every solver uses its context from one thread at a time,
+/// but nothing ties an arena to a thread: a context may be built on one
+/// thread and solved or destroyed on another (serve re-solves on Server
+/// worker threads), and a move-constructed SparseBitVector keeps its
+/// source's binding, so an element can be freed by whichever thread
+/// destroys the set it ended up in. The lock keeps the free list sound
+/// in all of those cases for the price of one uncontended atomic pair.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -158,8 +160,8 @@ public:
   uint64_t liveBlocks() const { return LiveBlocks; }
 
 private:
-  /// Acquire/release spinlock; uncontended in practice (sequential
-  /// solvers own one arena, the parallel solver shards by node stripe).
+  /// Acquire/release spinlock; uncontended in practice (each solver
+  /// context owns one arena and uses it from one thread at a time).
   struct SpinLock {
     std::atomic_flag Flag = ATOMIC_FLAG_INIT;
     void lock() {

@@ -41,10 +41,9 @@ enum class FaultSite : unsigned {
   SnapshotFsync,  ///< Snapshot fsync (data written but not durable).
   SnapshotRename, ///< Atomic publish rename (durable temp, unpublished).
   ServeRequest,   ///< Serve REPL request entry (per-request failure).
-  WorkerStall,    ///< Parallel-solver worker hangs (stops heartbeating).
 };
 
-constexpr unsigned NumFaultSites = 7;
+constexpr unsigned NumFaultSites = 6;
 
 /// Returns a stable lower_snake name for \p Site (used by ptatool's
 /// --inject-fault flag and in diagnostics).
@@ -62,8 +61,6 @@ inline const char *faultSiteName(FaultSite Site) {
     return "snapshot_rename";
   case FaultSite::ServeRequest:
     return "serve_request";
-  case FaultSite::WorkerStall:
-    return "worker_stall";
   }
   return "?";
 }

@@ -72,7 +72,7 @@ private:
 
 /// Hash-conses SparseBitVectors: equal contents yield the same
 /// shared_ptr. One interner serves one extraction/dedup pass; it is not
-/// thread-safe (extraction is single-threaded even for parallel solves).
+/// thread-safe (each extraction owns its interner on one thread).
 class SetInterner {
 public:
   /// Interns \p S. On a miss, S is moved into a fresh canonical set and

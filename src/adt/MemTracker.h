@@ -51,8 +51,8 @@ public:
     unsigned I = static_cast<unsigned>(Cat);
     uint64_t Now = Current[I].fetch_add(Bytes, std::memory_order_relaxed) +
                    Bytes;
-    // Racy max update is fine: benches are single-threaded, matching the
-    // paper's single-threaded executables.
+    // CAS max, not a plain store: Server workers allocate concurrently
+    // with a re-solve, and a lost update would under-report the peak.
     uint64_t Prev = Peak[I].load(std::memory_order_relaxed);
     while (Now > Prev &&
            !Peak[I].compare_exchange_weak(Prev, Now,

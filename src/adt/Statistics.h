@@ -7,9 +7,9 @@
 /// \file
 /// Counters for the three quantities Section 5.3 of the paper uses to
 /// explain relative solver performance — nodes collapsed, nodes searched
-/// during DFS, and points-to propagations — plus supporting counts added
-/// by the parallel (PR 2) and serve (PR 3) layers. Each solver owns one
-/// SolverStats and increments it inline.
+/// during DFS, and points-to propagations — plus supporting counts for
+/// LCD's trigger, complex-constraint resolution and warm-start re-solves.
+/// Each solver owns one SolverStats and increments it inline.
 ///
 /// Every consumer — mergeFrom, toString, and the observability layer's
 /// MetricsRegistry::absorb — iterates the single forEachField enumerator,
@@ -53,13 +53,9 @@ struct SolverStats {
   /// cycle search before". Since the fused union+equality kernel made
   /// the equality probe free, the R set is only consulted for edges
   /// whose sets compared equal (not once per edge visit), so this
-  /// counts equality-passing edge visits. Scheduling-variant.
+  /// counts equality-passing edge visits. Like every counter here it
+  /// repeats exactly across identical solves.
   uint64_t LcdTriggerProbes = 0;
-  /// Wavefront rounds executed by the parallel solver (0 for sequential).
-  uint64_t ParallelRounds = 0;
-  /// Collapse epochs completed by the parallel solver. Trails
-  /// ParallelRounds when a budget trip aborts an epoch mid-flight.
-  uint64_t ParallelEpochs = 0;
   /// Points-to elements pushed through complex-constraint resolution
   /// frontiers (the difference-propagation work the MDE deduplication
   /// line of work targets — re-resolution shows up here).
@@ -72,7 +68,7 @@ struct SolverStats {
 
   /// Number of counters; keep in sync with forEachField (asserted by
   /// mergeFrom).
-  static constexpr size_t NumFields = 14;
+  static constexpr size_t NumFields = 12;
 
   /// Invokes \p F with ("stable_name", field reference) for every counter,
   /// in declaration order. The single source of truth for merging,
@@ -87,8 +83,6 @@ struct SolverStats {
     F("worklist_pops", WorklistPops);
     F("hcd_collapses", HcdCollapses);
     F("lcd_trigger_probes", LcdTriggerProbes);
-    F("parallel_rounds", ParallelRounds);
-    F("parallel_epochs", ParallelEpochs);
     F("diff_elements_resolved", DiffElementsResolved);
     F("warm_seeded_nodes", WarmSeededNodes);
     F("warm_new_constraints", WarmNewConstraints);
@@ -102,9 +96,8 @@ struct SolverStats {
         });
   }
 
-  /// Accumulates \p RHS into this (used to fold per-worker counters into
-  /// the run's totals at epoch boundaries, and warm-start stats into
-  /// session totals).
+  /// Accumulates \p RHS into this (used to fold warm-start stats into
+  /// session totals, and per-suite stats into a benchmark run's totals).
   void mergeFrom(const SolverStats &RHS) {
     uint64_t Vals[NumFields];
     size_t I = 0;

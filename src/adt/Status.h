@@ -34,7 +34,6 @@ enum class StatusCode : uint8_t {
   StepLimit,        ///< SolveBudget propagation/edge ceiling tripped.
   Cancelled,        ///< Cooperative cancellation was requested.
   FaultInjected,    ///< A test-armed FaultInjector site fired.
-  Stalled,          ///< A stall watchdog detected a hung worker/round.
   Internal,         ///< Invariant violation surfaced as an error.
 };
 
@@ -59,8 +58,6 @@ inline const char *statusCodeName(StatusCode Code) {
     return "cancelled";
   case StatusCode::FaultInjected:
     return "fault_injected";
-  case StatusCode::Stalled:
-    return "stalled";
   case StatusCode::Internal:
     return "internal";
   }
@@ -102,9 +99,6 @@ public:
   static Status faultInjected(std::string Msg) {
     return Status(StatusCode::FaultInjected, std::move(Msg));
   }
-  static Status stalled(std::string Msg) {
-    return Status(StatusCode::Stalled, std::move(Msg));
-  }
   static Status internal(std::string Msg) {
     return Status(StatusCode::Internal, std::move(Msg));
   }
@@ -119,8 +113,7 @@ public:
            Code == StatusCode::MemoryLimit ||
            Code == StatusCode::StepLimit ||
            Code == StatusCode::Cancelled ||
-           Code == StatusCode::FaultInjected ||
-           Code == StatusCode::Stalled;
+           Code == StatusCode::FaultInjected;
   }
 
   /// "code: message" rendering for diagnostics.

@@ -60,17 +60,6 @@ public:
     return Root;
   }
 
-  /// Finds the representative of \p X without path compression. The only
-  /// find that is safe for concurrent readers: it never writes Parent, so
-  /// parallel solver phases (which guarantee no unite() is in flight) may
-  /// call it from many threads at once.
-  uint32_t findNoCompress(uint32_t X) const {
-    assert(X < Parent.size() && "id out of range");
-    while (Parent[X] != X)
-      X = Parent[X];
-    return X;
-  }
-
   /// Returns true if \p X is its own representative.
   bool isRepresentative(uint32_t X) const { return Parent[X] == X; }
 

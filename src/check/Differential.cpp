@@ -14,12 +14,11 @@
 
 using namespace ag;
 
-SolveFn ag::solveFnFor(SolverKind Kind, PtsRepr Repr, unsigned Threads) {
-  return [Kind, Repr, Threads](const ConstraintSystem &CS) {
+SolveFn ag::solveFnFor(SolverKind Kind, PtsRepr Repr) {
+  return [Kind, Repr](const ConstraintSystem &CS) {
     OvsResult Ovs = runOfflineVariableSubstitution(CS);
-    SolverOptions Opts;
-    Opts.Threads = Threads;
-    return solve(Ovs.Reduced, Kind, Repr, nullptr, Opts, &Ovs.Rep);
+    return solve(Ovs.Reduced, Kind, Repr, nullptr, SolverOptions(),
+                 &Ovs.Rep);
   };
 }
 

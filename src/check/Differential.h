@@ -6,7 +6,7 @@
 ///
 /// \file
 /// A differential harness over the solver matrix: run two solver
-/// configurations (kind x representation x thread count) on the same
+/// configurations (kind x representation) on the same
 /// constraint system and compare solutions element-for-element. Inclusion-
 /// based analysis has a unique least fixpoint, so any divergence between
 /// two precise solvers is a bug in one of them — the strongest oracle this
@@ -44,8 +44,8 @@ using SolveFn = std::function<PointsToSolution(const ConstraintSystem &)>;
 
 /// The canonical pipeline under test: OVS-reduce, then solve \p Kind /
 /// \p Repr with the substitution seeds (exactly what ptatool solve and
-/// snapshot do). \p Threads routes LCD kinds through the parallel solver.
-SolveFn solveFnFor(SolverKind Kind, PtsRepr Repr, unsigned Threads = 0);
+/// snapshot do).
+SolveFn solveFnFor(SolverKind Kind, PtsRepr Repr);
 
 /// First divergence between two solutions of the same system.
 struct DiffResult {

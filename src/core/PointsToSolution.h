@@ -163,7 +163,7 @@ public:
   /// with nodes in id order and set elements ascending (SparseBitVector
   /// iterates sorted). Because lines depend only on the per-node routed
   /// sets — not on representative structure — every solver kind and
-  /// thread count producing the same solution dumps identical bytes; the
+  /// set representation producing the same solution dumps identical bytes; the
   /// snapshot layer leans on this stability.
   std::string dumpText() const {
     std::string Out;

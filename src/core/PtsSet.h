@@ -44,13 +44,6 @@
 
 namespace ag {
 
-/// Result of a fused union across either policy: did the destination
-/// change, and was it exactly equal to the source before the union.
-struct SetUnionStatus {
-  bool Changed;
-  bool WasEqual;
-};
-
 /// Sparse-bitmap points-to sets (the GCC 4.1.1 representation).
 struct BitmapPtsPolicy {
   struct Context {
@@ -62,13 +55,6 @@ struct BitmapPtsPolicy {
     bool insert(Context &, NodeId N) { return Bits.set(N); }
     bool unionWith(Context &, const Set &RHS) {
       return Bits.unionWith(RHS.Bits);
-    }
-
-    /// Fused union + pre-union equality probe in one merge pass (the
-    /// LCD edge loop wants both).
-    SetUnionStatus unionWithStatus(Context &, const Set &RHS) {
-      SparseBitVector::UnionResult R = Bits.unionWithStatus(RHS.Bits);
-      return {R.Changed, R.WasEqual};
     }
 
     /// Fused union that visits every newly added element in ascending
@@ -166,15 +152,6 @@ struct BddPtsPolicy {
       bool Changed = New.ref() != Val.ref();
       Val = std::move(New);
       return Changed;
-    }
-
-    /// Hash consing makes the equality half O(1), so the "fused" form
-    /// is just the two calls — it exists so solver templates can use one
-    /// spelling for both policies.
-    SetUnionStatus unionWithStatus(Context &Ctx, const Set &RHS) {
-      bool Eq = equals(Ctx, RHS);
-      bool Changed = unionWith(Ctx, RHS);
-      return {Changed, Eq};
     }
 
     /// Union + visit of the newly added elements. BDD diff is already a

@@ -183,59 +183,6 @@ public:
     tick();
   }
 
-  /// Thread-safe, non-throwing budget preview for parallel worker threads.
-  /// \p Props and \p Edges are the solve's running totals (all workers
-  /// combined, including operations already charged via chargeBatch).
-  /// Returns the would-be trip status, or OK. Workers observe a non-OK
-  /// result by cooperatively stopping at their next shard boundary; the
-  /// coordinator then re-derives and throws the error on its own thread
-  /// via chargeBatch/checkpoint, so the exception never crosses threads.
-  /// Reads only immutable budget state, the atomic cancel flag, the clock,
-  /// and MemTracker's atomics — safe from any thread. Injected faults are
-  /// deliberately not consumed here (they are one-shot and belong to the
-  /// coordinator's checkpoint).
-  Status checkParallel(uint64_t Props, uint64_t Edges) const {
-    if (Budget.MaxPropagations != 0 && Props > Budget.MaxPropagations)
-      return Status::stepLimit("propagation budget of " +
-                               std::to_string(Budget.MaxPropagations) +
-                               " exceeded");
-    if (Budget.MaxEdges != 0 && Edges > Budget.MaxEdges)
-      return Status::stepLimit("edge budget of " +
-                               std::to_string(Budget.MaxEdges) +
-                               " exceeded");
-    if (Budget.Cancel.cancelRequested())
-      return Status::cancelled("cancellation requested");
-    if (HasDeadline && std::chrono::steady_clock::now() >= Deadline)
-      return Status::deadlineExceeded(
-          "wall-clock budget of " +
-          std::to_string(Budget.TimeoutSeconds) + " s exceeded");
-    if (Budget.MaxMemoryBytes != 0 &&
-        MemTracker::instance().currentBytesTotal() > Budget.MaxMemoryBytes)
-      return Status::memoryLimit(
-          "tracked memory exceeds cap of " +
-          std::to_string(Budget.MaxMemoryBytes) + " bytes");
-    return Status::okStatus();
-  }
-
-  /// Coordinator-thread entry point for parallel solves: folds one round's
-  /// operation counts (summed over all workers) into the governor's totals,
-  /// enforces the ceilings, and runs a full checkpoint. Throws
-  /// BudgetExceededError on the calling (single) thread when any limit is
-  /// exceeded — the parallel equivalent of onPropagation/onEdgeAdded.
-  void chargeBatch(uint64_t NewProps, uint64_t NewEdges) {
-    Propagations += NewProps;
-    Edges += NewEdges;
-    if (Budget.MaxPropagations != 0 &&
-        Propagations > Budget.MaxPropagations)
-      trip(Status::stepLimit("propagation budget of " +
-                             std::to_string(Budget.MaxPropagations) +
-                             " exceeded"));
-    if (Budget.MaxEdges != 0 && Edges > Budget.MaxEdges)
-      trip(Status::stepLimit("edge budget of " +
-                             std::to_string(Budget.MaxEdges) + " exceeded"));
-    checkpoint();
-  }
-
   /// Forces a full budget check right now (deadline, memory, cancellation,
   /// injected faults). Solvers call this at coarse boundaries (per solver
   /// round) in addition to the periodic checks.

@@ -105,23 +105,6 @@ struct SolverOptions {
   /// run (the default; costs one pointer test per counted operation).
   /// Not owned; must outlive the solve. solveGoverned() installs this.
   SolveGovernor *Governor = nullptr;
-
-  /// Worker-thread count for the parallel wavefront solver. 0 (default)
-  /// keeps the sequential solvers. Any value >= 1 routes LCD and LCD+HCD
-  /// solves over bitmap sets through ParallelLcdSolver with that many
-  /// workers (1 still exercises the full sharded machinery on one worker
-  /// thread); other kinds and the BDD representation ignore this — the
-  /// BDD manager's hash-consed node table is inherently single-threaded.
-  unsigned Threads = 0;
-
-  /// Stall watchdog for the parallel solver: if > 0, a monitor thread
-  /// samples worker heartbeats and converts a round in which no worker
-  /// makes progress for this many seconds into a governed cancellation
-  /// (StatusCode::Stalled) with a FlightRecorder dump, instead of an
-  /// indefinite hang. 0 (default) disables the watchdog. Sequential
-  /// solvers ignore this — a stalled single thread cannot be observed
-  /// from within itself.
-  double StallTimeoutSeconds = 0;
 };
 
 } // namespace ag

@@ -39,7 +39,6 @@
 #include "obs/TraceRecorder.h"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 namespace ag {
@@ -83,16 +82,11 @@ public:
   /// \p ReverseEdges stores each copy edge b -> a at node a instead of b,
   /// turning Succs into predecessor sets — the orientation the HT solver's
   /// reachability queries need. Only HT uses this.
-  /// \p ArenaShards (a power of two) is the number of element arenas the
-  /// per-node sets are distributed over by node id. Sequential solvers
-  /// keep the default 1; the parallel solver passes its stripe count so
-  /// concurrent workers allocate from different arenas. Sharding is only
-  /// a contention optimization — every arena is itself thread-safe, so
-  /// sets whose elements migrate between stripes (merges) stay sound.
   SolverContext(const ConstraintSystem &CS, SolverStats &Stats,
                 const std::vector<NodeId> *SeedReps = nullptr,
-                bool ReverseEdges = false, uint32_t ArenaShards = 1)
-      : CS(CS), Stats(Stats), Ctx(CS.numNodes()) {
+                bool ReverseEdges = false)
+      : CS(CS), Stats(Stats), Ctx(CS.numNodes()),
+        Arena(SparseBitVector::elementBytes()) {
     const uint32_t N = CS.numNodes();
     Reps.grow(N);
     Pts.resize(N);
@@ -106,22 +100,14 @@ public:
     DfsNum.assign(N, 0);
     OnStackEpoch.assign(N, 0);
 
-    assert(ArenaShards != 0 && (ArenaShards & (ArenaShards - 1)) == 0 &&
-           "arena shard count must be a power of two");
-    ArenaShardMask = ArenaShards - 1;
-    Arenas.reserve(ArenaShards);
-    for (uint32_t I = 0; I != ArenaShards; ++I)
-      Arenas.push_back(
-          std::make_unique<ElementArena>(SparseBitVector::elementBytes()));
     // Bind every per-node set before any bit is inserted. The binding is
     // fixed for the solve's lifetime; unwind order is safe because the
-    // arenas are declared before the set vectors below.
+    // arena is declared before the set vectors below.
     for (NodeId V = 0; V != N; ++V) {
-      ElementArena *A = Arenas[V & ArenaShardMask].get();
-      Pts[V].bindArena(A);
-      Delta[V].bindArena(A);
-      HcdSeen[V].bindArena(A);
-      Succs[V].setArena(A);
+      Pts[V].bindArena(&Arena);
+      Delta[V].bindArena(&Arena);
+      HcdSeen[V].bindArena(&Arena);
+      Succs[V].setArena(&Arena);
     }
 
     if (SeedReps) {
@@ -154,12 +140,6 @@ public:
 
   /// Representative of \p V.
   NodeId find(NodeId V) { return Reps.find(V); }
-
-  /// Representative of \p V without path compression. The parallel solver
-  /// uses this from worker threads during propagation phases, where the
-  /// protocol guarantees no merge is in flight: plain find()'s compression
-  /// writes would race between readers.
-  NodeId findReadOnly(NodeId V) const { return Reps.findNoCompress(V); }
 
   /// True if \p V is currently a representative.
   bool isRep(NodeId V) const { return Reps.isRepresentative(V); }
@@ -554,12 +534,11 @@ public:
   /// Resource governor, or null when un-governed (see SolverOptions).
   SolveGovernor *Governor = nullptr;
 
-  /// Per-shard element arenas backing Pts/HcdSeen/Succs (node V binds to
-  /// shard V & ArenaShardMask). Declared before every set vector so that
-  /// destruction — including governor-trip unwinds — returns all
-  /// elements to live arenas before the slabs are released.
-  std::vector<std::unique_ptr<ElementArena>> Arenas;
-  uint32_t ArenaShardMask = 0;
+  /// Element arena backing Pts/Delta/HcdSeen/Succs. Declared before
+  /// every set vector so that destruction — including governor-trip
+  /// unwinds — returns all elements to the live arena before its slabs
+  /// are released.
+  ElementArena Arena;
 
   std::vector<PtsSet> Pts;
   /// Per node: bits that arrived at pts(node) since its last completed

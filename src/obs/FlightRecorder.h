@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small ring buffer of recent coarse events (phase starts, rounds,
+/// A small ring buffer of recent coarse events (phase starts, serve drops,
 /// snapshot loads, governor trips) kept even when full tracing is off —
 /// the black box a production service wants when a solve dies. The
 /// governor dumps the ring to stderr on budget trips and fault-injection

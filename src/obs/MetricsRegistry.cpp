@@ -25,8 +25,6 @@ constexpr const char *CounterNames[] = {
     "solver.worklist_pops",
     "solver.hcd_collapses",
     "solver.lcd_trigger_probes",
-    "solver.parallel_rounds",
-    "solver.parallel_epochs",
     "solver.diff_elements_resolved",
     "solver.warm_seeded_nodes",
     "solver.warm_new_constraints",
@@ -110,47 +108,6 @@ const char *ag::obs::counterName(Counter C) {
 const char *ag::obs::gaugeName(Gauge G) { return GaugeNames[unsigned(G)]; }
 const char *ag::obs::histName(Hist H) { return HistNames[unsigned(H)]; }
 
-bool ag::obs::counterIsSchedulingInvariant(Counter C) {
-  switch (C) {
-  // Totals fixed by the input (HCD's offline-dictated merges, warm-start
-  // seeding, count-of-run events) are stable across worker schedules.
-  case Counter::SolverHcdCollapses:
-  case Counter::SolverWarmSeededNodes:
-  case Counter::SolverWarmNewConstraints:
-  case Counter::SolverRuns:
-  case Counter::SolverFallbacks:
-  case Counter::ServeQueries:
-  case Counter::ServeSnapshotLoads:
-  case Counter::ServeWarmStarts:
-  case Counter::BddCacheHits:   // BDD runs are single-threaded.
-  case Counter::BddCacheMisses:
-  // The number of demand queries issued is fixed by the workload; what
-  // each one costs (memo hits, steps, escalations) depends on the order
-  // concurrent queries warmed the memo, so those stay variant. Likewise
-  // serve.requests is fixed by the REPL input while the tier path each
-  // request takes (and whether its event line fits the ring) is not.
-  case Counter::DemandQueries:
-  case Counter::ServeRequests:
-    return true;
-  // Connection accounting is timing-driven (how fast clients connect,
-  // whether the idle reaper fires first), so none of serve.conns_* joins
-  // the invariant set even though accepted counts are workload-fixed in
-  // well-behaved runs.
-  // Propagation totals, search visits, trigger probes, pop counts, round
-  // counts and trip counts all depend on which interleaving the workers
-  // happened to take. So do edges_added and nodes_collapsed: the parallel
-  // solver's lazy cycle trigger compares points-to sets at propagation
-  // time, so which cycles it catches — and therefore which canonical
-  // (rep, rep) edges count as distinct inserts — varies with preemption,
-  // even though the points-to solution at fixpoint is identical. The
-  // interning tallies vary the same way: the *routed* per-node solution
-  // is thread-count-invariant, but which node ends up the representative
-  // (and therefore how many rep sets exist to dedup) is not.
-  default:
-    return false;
-  }
-}
-
 MetricsRegistry &MetricsRegistry::instance() {
   static MetricsRegistry R;
   return R;
@@ -218,7 +175,7 @@ std::string MetricsRegistry::renderJson(bool Compact) const {
   std::string Out = "{";
   Out += Nl;
   Out += In1;
-  Out += "\"schema\": \"ag.metrics.v5\",";
+  Out += "\"schema\": \"ag.metrics.v6\",";
   Out += Nl;
 
   Out += In1;

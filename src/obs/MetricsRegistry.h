@@ -15,7 +15,7 @@
 /// rates.
 ///
 /// Rendering is deterministic: renderJson() emits every counter, gauge and
-/// histogram in enum order with a schema tag ("ag.metrics.v5"), so two runs
+/// histogram in enum order with a schema tag ("ag.metrics.v6"), so two runs
 /// at the same seed produce bit-identical files and CI can validate the
 /// key set against tests/metrics_schema.json (schema stability rules in
 /// DESIGN.md §11; v1 -> v2 added the set-interning counters and the
@@ -23,7 +23,9 @@
 /// frontier histogram; v3 -> v4 added the serve request/tier/event
 /// counters, the serve.latency.* quantile gauges and the request-latency
 /// histogram; v4 -> v5 added the serve.conns_* connection counters and
-/// the serve.conns_active gauge for the TCP front-end).
+/// the serve.conns_active gauge for the TCP front-end; v5 -> v6 removed
+/// the two solver.parallel_* round/epoch counters with the parallel
+/// solver).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,8 +56,6 @@ enum class Counter : unsigned {
   SolverWorklistPops,
   SolverHcdCollapses,
   SolverLcdTriggerProbes,
-  SolverParallelRounds,
-  SolverParallelEpochs,
   SolverDiffElementsResolved,
   SolverWarmSeededNodes,
   SolverWarmNewConstraints,
@@ -136,14 +136,6 @@ enum class Hist : unsigned {
 const char *counterName(Counter C);
 const char *gaugeName(Gauge G);
 const char *histName(Hist H);
-
-/// True if the counter's value is independent of parallel-worker
-/// scheduling (identical across repeated runs at any thread count, given
-/// the same seed). Scheduling-sensitive counters — e.g. propagations,
-/// whose per-round totals depend on which edges a worker's snapshot saw —
-/// are only run-to-run stable single-threaded. Tests and downstream
-/// tooling use this to pick the comparison set (DESIGN.md §11).
-bool counterIsSchedulingInvariant(Counter C);
 
 /// Process-wide metrics store. All mutators are thread-safe; counters are
 /// sharded so concurrent workers do not contend on one cache line.

@@ -11,16 +11,15 @@
 ///
 ///  * spans    — B/E duration pairs; must nest properly per track. Emitted
 ///               for offline passes (OVS, HCD), whole solves, Tarjan
-///               searches, parallel rounds and collapse epochs (per-thread
-///               worker tracks), snapshot loads, warm re-solves, and
+///               searches, snapshot loads, warm re-solves, and
 ///               individual serve queries.
 ///  * instants — point events (LCD triggers, governor trips).
 ///  * counters — sampled values ("C" phase) such as worklist depth over
 ///               time and tracked memory per category.
 ///
 /// Tracks: each OS thread gets a small stable integer track id on first
-/// use (the coordinator usually 0, pool workers 1..N), so parallel rounds
-/// render as one lane per worker.
+/// use (the main thread usually 0), so spans recorded by Server workers
+/// render on their own lanes and still nest properly per track.
 ///
 /// Names and categories must be string literals (the recorder stores the
 /// pointers); every instrumentation point in this codebase complies, which

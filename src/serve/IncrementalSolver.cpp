@@ -11,7 +11,6 @@
 #include "obs/MetricsRegistry.h"
 #include "obs/RequestContext.h"
 #include "obs/TraceRecorder.h"
-#include "solvers/ParallelLcdSolver.h"
 
 #include <algorithm>
 
@@ -36,27 +35,22 @@ NodeId IncrementalSolver::addNode(std::string Name, uint32_t Size) {
   return Id;
 }
 
-/// Shared warm-start body over either solver: install the snapshot
-/// fixpoint, rebuild derived edges, apply the delta, and resume from the
-/// touched set. \p Applied must contain only constraints absent from the
-/// base system (the caller deduplicated through FullCS).
-template <typename SolverT>
-void IncrementalSolver::warmSolve(WarmStartResult &R, SolverT &Solver,
+/// The warm-start body: install the snapshot fixpoint, rebuild derived
+/// edges, apply the delta, and resume from the touched set. \p Applied
+/// must contain only constraints absent from the base system (the caller
+/// deduplicated through FullCS). The solver's context already holds the
+/// governor (LcdSolver installs Opts.Governor), so the rebuild and delta
+/// phases' edge insertions are budget-accountable too.
+void IncrementalSolver::warmSolve(WarmStartResult &R,
+                                  LcdSolver<BitmapPtsPolicy> &Solver,
                                   ConstraintSystem &FullCS,
                                   const std::vector<Constraint> &Applied,
-                                  SolveGovernor &Gov, bool AllowFallback) {
+                                  bool AllowFallback) {
   obs::PhaseSpan Span("warm_solve", "serve");
   obs::count(obs::Counter::ServeWarmStarts);
   obs::flight("warm_solve", Applied.size());
   auto &G = Solver.context();
   const uint32_t OldN = Cur.Solution.numNodes();
-
-  // The parallel solver keeps the context governor null outside collapse
-  // epochs; install it for the (single-threaded) rebuild and delta
-  // phases so their edge insertions stay budget-accountable, then
-  // restore before handing control to the solver's own protocol.
-  SolveGovernor *SolverPhaseGovernor = G.Governor;
-  G.Governor = &Gov;
 
   std::vector<NodeId> Touched;
   try {
@@ -119,7 +113,6 @@ void IncrementalSolver::warmSolve(WarmStartResult &R, SolverT &Solver,
     R.SeededNodes = uint32_t(Touched.size());
     R.Stats.WarmSeededNodes += Touched.size();
 
-    G.Governor = SolverPhaseGovernor;
     R.Solution = Solver.solveFrom(Touched);
     R.St = Status::okStatus();
     R.Outcome = SolveOutcome::Precise;
@@ -215,15 +208,9 @@ IncrementalSolver::resolve(const std::vector<Constraint> &Delta,
   // base load/store index is what the edge-rebuild pass resolves. The
   // delta is applied by hand inside warmSolve, which folds FullCS into
   // Cur.CS only after solveFrom returned.
-  if (GovernedOpts.Threads > 0) {
-    ParallelLcdSolver Solver(Cur.CS, R.Stats, GovernedOpts, nullptr,
-                             &Seeds);
-    warmSolve(R, Solver, FullCS, Applied, Gov, Budget.AllowFallback);
-  } else {
-    LcdSolver<BitmapPtsPolicy> Solver(Cur.CS, R.Stats, GovernedOpts,
-                                      nullptr, &Seeds);
-    warmSolve(R, Solver, FullCS, Applied, Gov, Budget.AllowFallback);
-  }
+  LcdSolver<BitmapPtsPolicy> Solver(Cur.CS, R.Stats, GovernedOpts, nullptr,
+                                    &Seeds);
+  warmSolve(R, Solver, FullCS, Applied, Budget.AllowFallback);
   // Warm re-solves bypass ag::solve(), so fold this run's stats into the
   // registry here (R.Stats is fresh per call — no double counting).
   if (obs::metricsEnabled())

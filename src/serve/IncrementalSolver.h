@@ -50,6 +50,9 @@
 
 namespace ag {
 
+struct BitmapPtsPolicy;
+template <typename PtsPolicy> class LcdSolver;
+
 /// Outcome of one warm-start re-solve.
 struct WarmStartResult {
   PointsToSolution Solution;
@@ -93,9 +96,7 @@ public:
   NodeId addNode(std::string Name = "", uint32_t Size = 1);
 
   /// Applies \p Delta (constraints over the current node table) and
-  /// re-solves warm. Opts.Threads selects the parallel wavefront solver
-  /// exactly as in cold solves; the solution is identical at any thread
-  /// count.
+  /// re-solves warm with the sequential LCD solver.
   WarmStartResult resolve(const std::vector<Constraint> &Delta,
                           const SolveBudget &Budget = SolveBudget(),
                           const SolverOptions &Opts = SolverOptions());
@@ -110,11 +111,9 @@ public:
                                 const SolverOptions &Opts = SolverOptions());
 
 private:
-  template <typename SolverT>
-  void warmSolve(WarmStartResult &R, SolverT &Solver,
+  void warmSolve(WarmStartResult &R, LcdSolver<BitmapPtsPolicy> &Solver,
                  ConstraintSystem &FullCS,
-                 const std::vector<Constraint> &Applied, SolveGovernor &Gov,
-                 bool AllowFallback);
+                 const std::vector<Constraint> &Applied, bool AllowFallback);
 
   Snapshot Cur;
   Status ValidSt;

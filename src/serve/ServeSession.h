@@ -94,7 +94,7 @@ struct ServeOptions {
   /// reach the precise answer.
   SolveBudget ResolveBudget;
 
-  /// Solver options (threads, stall watchdog) for `resolve`.
+  /// Solver options (worklist policy, ablations) for `resolve`.
   SolverOptions ResolveOpts;
 
   /// Total resolve attempts (>= 1); attempts 1..N-1 retry precise with a

@@ -12,7 +12,6 @@
 #include "solvers/BlqSolver.h"
 #include "solvers/HtSolver.h"
 #include "solvers/NaiveSolver.h"
-#include "solvers/ParallelLcdSolver.h"
 #include "solvers/PkhSolver.h"
 #include "solvers/SteensgaardSolver.h"
 
@@ -240,15 +239,6 @@ PointsToSolution ag::solve(const ConstraintSystem &CS, SolverKind Kind,
                   Seeds);
     return Blq.solve();
   }
-
-  // The parallel wavefront solver handles LCD and LCD+HCD over bitmaps
-  // when a thread count is requested; everything else stays sequential
-  // (see SolverOptions::Threads for why BDD sets are excluded).
-  if (Opts.Threads > 0 && Repr == PtsRepr::Bitmap &&
-      (Kind == SolverKind::LCD || Kind == SolverKind::LCDHCD))
-    return runSolver(ParallelLcdSolver(
-        CS, Stats, Opts, Kind == SolverKind::LCDHCD ? Hcd : nullptr,
-        Seeds));
 
   if (Repr == PtsRepr::Bitmap)
     return dispatch<BitmapPtsPolicy>(CS, Kind, Stats, Opts, Hcd, Seeds);

@@ -7,7 +7,7 @@
 /// \file
 /// Differential certification of the demand-driven subsystem: every
 /// DemandSolver answer bit-equal to the exhaustive solution of every
-/// solver kind (sequential and parallel), tier escalation on budget
+/// solver kind, tier escalation on budget
 /// trips (sound fallback preserved, unsound partial state never served),
 /// delta adoption with memo invalidation, the QueryEngine memo tier, the
 /// governed reverse-index build, demand-mode serving sessions, and the
@@ -107,15 +107,12 @@ TEST(DemandSolver, PointsToMatchesEveryExhaustiveKind) {
   for (const ConstraintSystem &CS : demandWorkloads()) {
     DemandSolver DS(CS);
     for (SolverKind Kind : AllSolverKinds) {
-      for (unsigned Threads : {0u, 4u}) {
-        PointsToSolution Sol = solveFnFor(Kind, PtsRepr::Bitmap, Threads)(CS);
-        for (NodeId V = 0; V != CS.numNodes(); ++V) {
-          SparseBitVector Bits;
-          ASSERT_TRUE(DS.pointsTo(V, nullptr, Bits).ok());
-          EXPECT_EQ(toVector(Bits), Sol.pointsToVector(V))
-              << "node " << V << " vs " << solverKindName(Kind)
-              << " threads " << Threads;
-        }
+      PointsToSolution Sol = solveFnFor(Kind, PtsRepr::Bitmap)(CS);
+      for (NodeId V = 0; V != CS.numNodes(); ++V) {
+        SparseBitVector Bits;
+        ASSERT_TRUE(DS.pointsTo(V, nullptr, Bits).ok());
+        EXPECT_EQ(toVector(Bits), Sol.pointsToVector(V))
+            << "node " << V << " vs " << solverKindName(Kind);
       }
     }
     // Every queried class ends certified; repeat queries are memo hits

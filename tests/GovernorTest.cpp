@@ -283,6 +283,19 @@ TEST_F(PtatoolExitCodes, MalformedFileExitsError) {
 
 TEST_F(PtatoolExitCodes, UnknownFlagExitsUsage) {
   EXPECT_EQ(runPtatool("solve " + ConsPath + " --frobnicate"), 2);
+  // Flags and fault sites of the removed parallel solver are unknown
+  // input now, not silently ignored. (Exit code 5 stays reserved.)
+  EXPECT_EQ(runPtatool("solve " + ConsPath + " --threads 4"), 2);
+  EXPECT_EQ(runPtatool("solve " + ConsPath + " --stall-timeout 1"), 2);
+  EXPECT_EQ(runPtatool("check " + ConsPath + " --all --threads 4"), 2);
+  EXPECT_EQ(
+      runPtatool("solve " + ConsPath + " --inject-fault worker_stall"), 2);
+  EXPECT_EQ(
+      runPtatool("solve " + ConsPath + " --inject-fault worker_stall:0"), 2);
+  // A live site in the same position still parses.
+  EXPECT_EQ(
+      runPtatool("solve " + ConsPath + " --inject-fault snapshot_write:0"),
+      0);
 }
 
 TEST_F(PtatoolExitCodes, BadBudgetValueExitsUsage) {

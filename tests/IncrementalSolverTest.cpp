@@ -8,8 +8,8 @@
 /// The warm-start contract: re-solving a snapshot plus a constraint delta
 /// equals a cold solve of the full system seeded with the snapshot's
 /// offline map (see IncrementalSolver.h for why that is the exact
-/// baseline) — at every thread count, across generated suites, under
-/// repeated folded deltas, and byte-for-byte under budget trips. Plus the
+/// baseline) — across generated suites, under repeated folded deltas,
+/// and byte-for-byte under budget trips. Plus the
 /// structured-error paths: invalid deltas, mismatched node tables, and
 /// non-precise snapshots.
 ///
@@ -67,16 +67,7 @@ SolveBudget expiredDeadline() {
   return B;
 }
 
-class WarmStart : public ::testing::TestWithParam<unsigned> {
-protected:
-  SolverOptions opts() const {
-    SolverOptions O;
-    O.Threads = GetParam();
-    return O;
-  }
-};
-
-TEST_P(WarmStart, EqualsColdSolveOfFullSystem) {
+TEST(WarmStart, EqualsColdSolveOfFullSystem) {
   for (uint64_t Seed : {1u, 2u, 3u}) {
     ConstraintSystem Full = suiteSystem(Seed);
     DeltaSplit Split = splitDelta(Full, 0.15, Seed * 17 + 1);
@@ -84,11 +75,11 @@ TEST_P(WarmStart, EqualsColdSolveOfFullSystem) {
     ConstraintSystem FullCS = fullSystem(Snap, Split.Delta);
     std::vector<NodeId> Seeds = Snap.SeedReps;
     PointsToSolution Cold = solve(FullCS, SolverKind::LCDHCD, PtsRepr::Bitmap,
-                                  nullptr, opts(), &Seeds);
+                                  nullptr, SolverOptions(), &Seeds);
 
     IncrementalSolver Inc(std::move(Snap));
     ASSERT_TRUE(Inc.valid().ok());
-    WarmStartResult R = Inc.resolve(Split.Delta, SolveBudget(), opts());
+    WarmStartResult R = Inc.resolve(Split.Delta);
     ASSERT_EQ(R.Outcome, SolveOutcome::Precise) << R.St.toString();
     EXPECT_TRUE(R.Sound);
     EXPECT_TRUE(R.St.ok());
@@ -103,7 +94,7 @@ TEST_P(WarmStart, EqualsColdSolveOfFullSystem) {
   }
 }
 
-TEST_P(WarmStart, RepeatedDeltasCompose) {
+TEST(WarmStart, RepeatedDeltasCompose) {
   ConstraintSystem Full = suiteSystem(5);
   DeltaSplit Split = splitDelta(Full, 0.2, 99);
   size_t Half = Split.Delta.size() / 2;
@@ -118,18 +109,17 @@ TEST_P(WarmStart, RepeatedDeltasCompose) {
   ConstraintSystem FullCS = fullSystem(Snap, Split.Delta);
   std::vector<NodeId> Seeds = Snap.SeedReps;
   PointsToSolution Cold = solve(FullCS, SolverKind::LCDHCD, PtsRepr::Bitmap,
-                                nullptr, opts(), &Seeds);
+                                nullptr, SolverOptions(), &Seeds);
 
   IncrementalSolver Inc(std::move(Snap));
-  ASSERT_EQ(Inc.resolve(First, SolveBudget(), opts()).Outcome,
-            SolveOutcome::Precise);
-  WarmStartResult R = Inc.resolve(Second, SolveBudget(), opts());
+  ASSERT_EQ(Inc.resolve(First).Outcome, SolveOutcome::Precise);
+  WarmStartResult R = Inc.resolve(Second);
   ASSERT_EQ(R.Outcome, SolveOutcome::Precise);
   EXPECT_TRUE(R.Solution == Cold);
   EXPECT_TRUE(Inc.solution() == Cold);
 }
 
-TEST_P(WarmStart, BudgetTripFallsBackExactlyLikeColdSolve) {
+TEST(WarmStart, BudgetTripFallsBackExactlyLikeColdSolve) {
   ConstraintSystem Full = suiteSystem(7);
   DeltaSplit Split = splitDelta(Full, 0.2, 7);
   Snapshot Snap = makeSnapshot(Split.Base);
@@ -139,11 +129,11 @@ TEST_P(WarmStart, BudgetTripFallsBackExactlyLikeColdSolve) {
 
   SolveResult Cold =
       solveGoverned(FullCS, SolverKind::LCDHCD, expiredDeadline(),
-                    PtsRepr::Bitmap, nullptr, opts(), &Seeds);
+                    PtsRepr::Bitmap, nullptr, SolverOptions(), &Seeds);
   ASSERT_EQ(Cold.Outcome, SolveOutcome::Fallback);
 
   IncrementalSolver Inc(std::move(Snap));
-  WarmStartResult R = Inc.resolve(Split.Delta, expiredDeadline(), opts());
+  WarmStartResult R = Inc.resolve(Split.Delta, expiredDeadline());
   ASSERT_EQ(R.Outcome, SolveOutcome::Fallback);
   EXPECT_TRUE(R.Sound);
   EXPECT_TRUE(R.St.isBudgetTrip());
@@ -153,15 +143,14 @@ TEST_P(WarmStart, BudgetTripFallsBackExactlyLikeColdSolve) {
   // Fallback results are not fixpoints and must NOT fold into the held
   // snapshot; the same delta re-solved with a real budget is precise.
   EXPECT_TRUE(Inc.solution() == BaseSolution);
-  WarmStartResult Retry = Inc.resolve(Split.Delta, SolveBudget(), opts());
+  WarmStartResult Retry = Inc.resolve(Split.Delta);
   ASSERT_EQ(Retry.Outcome, SolveOutcome::Precise);
-  PointsToSolution Precise =
-      solve(FullCS, SolverKind::LCDHCD, PtsRepr::Bitmap, nullptr, opts(),
-            &Seeds);
+  PointsToSolution Precise = solve(FullCS, SolverKind::LCDHCD, PtsRepr::Bitmap,
+                                   nullptr, SolverOptions(), &Seeds);
   EXPECT_TRUE(Retry.Solution == Precise);
 }
 
-TEST_P(WarmStart, NoFallbackYieldsUnsoundPartial) {
+TEST(WarmStart, NoFallbackYieldsUnsoundPartial) {
   ConstraintSystem Full = suiteSystem(9);
   DeltaSplit Split = splitDelta(Full, 0.2, 9);
   Snapshot Snap = makeSnapshot(Split.Base);
@@ -169,17 +158,12 @@ TEST_P(WarmStart, NoFallbackYieldsUnsoundPartial) {
   IncrementalSolver Inc(std::move(Snap));
   SolveBudget B = expiredDeadline();
   B.AllowFallback = false;
-  WarmStartResult R = Inc.resolve(Split.Delta, B, opts());
+  WarmStartResult R = Inc.resolve(Split.Delta, B);
   ASSERT_EQ(R.Outcome, SolveOutcome::Partial);
   EXPECT_FALSE(R.Sound);
   EXPECT_TRUE(R.St.isBudgetTrip());
   EXPECT_TRUE(Inc.solution() == BaseSolution) << "partial must not fold";
 }
-
-INSTANTIATE_TEST_SUITE_P(Threads, WarmStart, ::testing::Values(0u, 1u, 4u),
-                         [](const ::testing::TestParamInfo<unsigned> &Info) {
-                           return "Threads" + std::to_string(Info.param);
-                         });
 
 TEST(IncrementalSolver, EmptyDeltaFastPath) {
   Snapshot Snap = makeSnapshot(suiteSystem(11));

@@ -200,30 +200,4 @@ TEST_F(MemKernelFault, TrippedSolveReturnsBytesToPreSolveWatermark) {
   }
 }
 
-TEST_F(MemKernelFault, TrippedParallelSolveReturnsBytesToWatermark) {
-  BenchmarkSpec Spec;
-  Spec.NumFunctions = 12;
-  Spec.VarsPerFunction = 8;
-  Spec.NumGlobals = 20;
-  ConstraintSystem CS = generateBenchmark(Spec);
-
-  FaultInjector::instance().armAfter(FaultSite::Allocation,
-                                     /*Countdown=*/200);
-  uint64_t Watermark =
-      MemTracker::instance().currentBytes(MemCategory::Bitmap);
-  {
-    SolveBudget B;
-    B.CheckIntervalOps = 1;
-    SolverOptions Opts;
-    Opts.Threads = 4;
-    SolveResult R = solveGoverned(CS, SolverKind::LCDHCD, B,
-                                  PtsRepr::Bitmap, nullptr, Opts);
-    ASSERT_NE(R.Outcome, SolveOutcome::Failed);
-  }
-  FaultInjector::instance().disarmAll();
-  EXPECT_EQ(MemTracker::instance().currentBytes(MemCategory::Bitmap),
-            Watermark)
-      << "tracked bitmap bytes drifted across a tripped parallel solve";
-}
-
 } // namespace

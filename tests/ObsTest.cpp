@@ -33,6 +33,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace ag;
@@ -260,21 +261,25 @@ TEST_F(ObsTest, SpansWellNestedAndJsonValidSequential) {
 }
 
 TEST_F(ObsTest, SpansWellNestedAcrossWorkerTracks) {
+  // Two solves on two threads at once (serve runs solver work on Server
+  // worker threads): each thread's spans must nest on its own track.
   obs::setTraceEnabled(true);
   const ObsWorkload &W = workload();
-  SolverOptions Opts;
-  Opts.Threads = 4;
-  (void)solve(W.Reduced, SolverKind::LCDHCD, PtsRepr::Bitmap, nullptr, Opts,
-              &W.Rep);
+  auto Solve = [&W] {
+    (void)solve(W.Reduced, SolverKind::LCDHCD, PtsRepr::Bitmap, nullptr,
+                SolverOptions(), &W.Rep);
+  };
+  std::thread A(Solve), B(Solve);
+  A.join();
+  B.join();
 
   auto Events = obs::TraceRecorder::instance().events();
   expectWellNested(Events);
-  // Worker rounds landed on more than one track.
-  std::map<uint32_t, size_t> WorkerTracks;
+  std::map<uint32_t, size_t> SolveTracks;
   for (const obs::TraceEvent &E : Events)
-    if (E.Phase == 'B' && std::strcmp(E.Name, "worker_round") == 0)
-      ++WorkerTracks[E.Tid];
-  EXPECT_GT(WorkerTracks.size(), 1u);
+    if (E.Phase == 'B' && std::strcmp(E.Name, "LCD+HCD") == 0)
+      ++SolveTracks[E.Tid];
+  EXPECT_EQ(SolveTracks.size(), 2u);
   EXPECT_TRUE(isValidJson(obs::TraceRecorder::instance().renderJson()));
 }
 
@@ -291,19 +296,6 @@ TEST_F(ObsTest, TraceEventCountsMatchRegistryCounters) {
   EXPECT_EQ(countBegins(Events, "tarjan"),
             Reg.counterValue(obs::Counter::SolverCycleDetectAttempts));
   EXPECT_EQ(Reg.counterValue(obs::Counter::SolverRuns), 1u);
-
-  // Parallel LCD+HCD: one round span per counted wavefront round.
-  obs::TraceRecorder::instance().clear();
-  Reg.reset();
-  SolverOptions Opts;
-  Opts.Threads = 4;
-  (void)solve(W.Reduced, SolverKind::LCDHCD, PtsRepr::Bitmap, nullptr, Opts,
-              &W.Rep);
-  Events = obs::TraceRecorder::instance().events();
-  EXPECT_EQ(countBegins(Events, "round"),
-            Reg.counterValue(obs::Counter::SolverParallelRounds));
-  EXPECT_EQ(countBegins(Events, "collapse_epoch"),
-            Reg.counterValue(obs::Counter::SolverParallelEpochs));
 }
 
 TEST_F(ObsTest, QuerySpansMatchServeCounter) {
@@ -361,37 +353,40 @@ TEST_F(ObsTest, MetricsJsonBitIdenticalSingleThreaded) {
     EXPECT_EQ(First, Second)
         << solverKindName(Kind) << " metrics not run-to-run identical";
     EXPECT_TRUE(isValidJson(First)) << solverKindName(Kind);
-    EXPECT_NE(First.find("\"ag.metrics.v5\""), std::string::npos);
+    EXPECT_NE(First.find("\"ag.metrics.v6\""), std::string::npos);
     // Compact rendering is the same document minus whitespace.
     std::string Compact = Reg.renderJson(/*Compact=*/true);
     EXPECT_TRUE(isValidJson(Compact));
   }
 }
 
-TEST_F(ObsTest, SchedulingInvariantCountersStableAtFourThreads) {
+TEST_F(ObsTest, SolverCountersRepeatAcrossIdenticalSolves) {
   obs::setMetricsEnabled(true);
   auto &Reg = obs::MetricsRegistry::instance();
   const ObsWorkload &W = workload();
-  SolverOptions Opts;
-  Opts.Threads = 4;
 
-  auto Capture = [&] {
-    Reg.reset();
-    (void)solve(W.Reduced, SolverKind::LCDHCD, PtsRepr::Bitmap, nullptr,
-                Opts, &W.Rep);
-    std::vector<uint64_t> Out;
-    for (unsigned I = 0; I != unsigned(obs::Counter::NumCounters); ++I)
-      Out.push_back(Reg.counterValue(static_cast<obs::Counter>(I)));
-    return Out;
-  };
-  std::vector<uint64_t> First = Capture();
-  std::vector<uint64_t> Second = Capture();
-  for (unsigned I = 0; I != unsigned(obs::Counter::NumCounters); ++I) {
-    auto C = static_cast<obs::Counter>(I);
-    if (obs::counterIsSchedulingInvariant(C)) {
-      EXPECT_EQ(First[I], Second[I])
-          << obs::counterName(C) << " drifted across identical 4-thread runs";
-    }
+  for (SolverKind Kind : AllSolverKinds) {
+    // Every solver.* counter, as the registry absorbed it from one run.
+    auto Capture = [&] {
+      Reg.reset();
+      (void)solve(W.Reduced, Kind, PtsRepr::Bitmap, nullptr, SolverOptions(),
+                  &W.Rep);
+      std::map<std::string, uint64_t> Out;
+      for (unsigned I = 0; I != unsigned(obs::Counter::NumCounters); ++I) {
+        auto C = static_cast<obs::Counter>(I);
+        if (std::strncmp(obs::counterName(C), "solver.", 7) == 0)
+          Out[obs::counterName(C)] = Reg.counterValue(C);
+      }
+      return Out;
+    };
+    std::map<std::string, uint64_t> First = Capture();
+    std::map<std::string, uint64_t> Second = Capture();
+    for (const auto &[Name, Value] : First)
+      EXPECT_EQ(Value, Second[Name])
+          << Name << " drifted across identical " << solverKindName(Kind)
+          << " solves";
+    // The run did real work, so the comparison is not vacuous.
+    EXPECT_GT(First["solver.propagations"], 0u) << solverKindName(Kind);
   }
 }
 
@@ -405,10 +400,6 @@ TEST_F(ObsTest, DisabledChannelsRecordNothing) {
   uint64_t FlightBefore = obs::FlightRecorder::instance().totalRecorded();
   (void)solve(W.Reduced, SolverKind::LCDHCD, PtsRepr::Bitmap, nullptr,
               SolverOptions(), &W.Rep);
-  SolverOptions Opts;
-  Opts.Threads = 2;
-  (void)solve(W.Reduced, SolverKind::LCDHCD, PtsRepr::Bitmap, nullptr, Opts,
-              &W.Rep);
 
   EXPECT_EQ(obs::TraceRecorder::instance().eventCount(), 0u);
   EXPECT_EQ(obs::FlightRecorder::instance().totalRecorded(), FlightBefore);

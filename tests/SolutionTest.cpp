@@ -115,10 +115,10 @@ TEST(PointsToSolution, DumpTextFormat) {
       << "nodes in id order, elements ascending, rep-shared sets expanded";
 }
 
-TEST(PointsToSolution, DumpTextStableAcrossSolversAndThreads) {
+TEST(PointsToSolution, DumpTextStableAcrossSolvers) {
   // The snapshot layer's determinism guarantee: the same solution dumps
-  // the same bytes no matter which solver kind or thread count produced
-  // it — representative structure must never leak into the dump.
+  // the same bytes no matter which solver kind or set representation
+  // produced it — representative structure must never leak into the dump.
   BenchmarkSpec Spec;
   Spec.NumFunctions = 10;
   Spec.VarsPerFunction = 8;
@@ -133,14 +133,6 @@ TEST(PointsToSolution, DumpTextStableAcrossSolversAndThreads) {
     if (K != SolverKind::BLQ && K != SolverKind::BLQHCD)
       EXPECT_EQ(solve(CS, K, PtsRepr::Bdd).dumpText(), Ref)
           << solverKindName(K) << " bdd";
-  }
-  for (unsigned Threads : {1u, 2u, 4u}) {
-    SolverOptions Opts;
-    Opts.Threads = Threads;
-    EXPECT_EQ(solve(CS, SolverKind::LCDHCD, PtsRepr::Bitmap, nullptr, Opts)
-                  .dumpText(),
-              Ref)
-        << "parallel wavefront with " << Threads << " threads";
   }
 }
 

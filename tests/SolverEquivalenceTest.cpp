@@ -151,78 +151,6 @@ TEST(LcdAblation, RetriggerSuppressionOffStillCorrect) {
               Oracle);
 }
 
-/// The parallel wavefront solver must produce bit-for-bit the sequential
-/// solution at every thread count (the solved system has a unique least
-/// fixpoint, and PointsToSolution::operator== compares expanded sets, so
-/// representative choices cannot mask a divergence).
-class ParallelEquivalence : public testing::TestWithParam<unsigned> {};
-
-TEST_P(ParallelEquivalence, MatchesSequentialOnRandomSystems) {
-  SolverOptions Par;
-  Par.Threads = GetParam();
-  for (uint64_t Seed : {1ull, 7ull, 13ull, 42ull}) {
-    RandomSpec Spec;
-    Spec.Seed = Seed;
-    Spec.NumVars = 40 + (Seed * 13) % 80;
-    Spec.NumCopies = 60 + (Seed * 29) % 120;
-    Spec.NumCycles = Seed % 6;
-    ConstraintSystem CS = generateRandom(Spec);
-    PointsToSolution Oracle = solve(CS, SolverKind::Naive);
-    for (SolverKind K : {SolverKind::LCD, SolverKind::LCDHCD})
-      EXPECT_TRUE(solve(CS, K, PtsRepr::Bitmap, nullptr, Par) == Oracle)
-          << solverKindName(K) << " x" << GetParam() << " threads, seed "
-          << Seed;
-  }
-}
-
-TEST_P(ParallelEquivalence, MatchesSequentialOnProgramShapedWorkload) {
-  BenchmarkSpec Spec;
-  Spec.Name = "par-mini";
-  Spec.NumFunctions = 12;
-  Spec.VarsPerFunction = 10;
-  Spec.NumGlobals = 20;
-  ConstraintSystem CS = generateBenchmark(Spec);
-
-  PointsToSolution Sequential = solve(CS, SolverKind::LCDHCD);
-  SolverOptions Par;
-  Par.Threads = GetParam();
-  EXPECT_TRUE(solve(CS, SolverKind::LCDHCD, PtsRepr::Bitmap, nullptr,
-                    Par) == Sequential);
-
-  // And through OVS seeding, the paper's full pipeline.
-  OvsResult Ovs = runOfflineVariableSubstitution(CS);
-  PointsToSolution Reduced = solve(Ovs.Reduced, SolverKind::LCDHCD,
-                                   PtsRepr::Bitmap, nullptr, Par, &Ovs.Rep);
-  EXPECT_TRUE(Reduced == Sequential);
-}
-
-TEST_P(ParallelEquivalence, GovernorTripFallbackMatchesSequential) {
-  BenchmarkSpec Spec;
-  Spec.Name = "par-budget";
-  Spec.NumFunctions = 16;
-  Spec.VarsPerFunction = 10;
-  Spec.NumGlobals = 24;
-  ConstraintSystem CS = generateBenchmark(Spec);
-
-  SolveBudget Budget;
-  Budget.MaxPropagations = 25; // Trips long before fixpoint.
-  SolveResult Seq = solveGoverned(CS, SolverKind::LCDHCD, Budget);
-  ASSERT_EQ(Seq.Outcome, SolveOutcome::Fallback);
-
-  SolverOptions Par;
-  Par.Threads = GetParam();
-  SolveResult P = solveGoverned(CS, SolverKind::LCDHCD, Budget,
-                                PtsRepr::Bitmap, nullptr, Par);
-  EXPECT_EQ(P.Outcome, SolveOutcome::Fallback);
-  EXPECT_TRUE(P.Sound);
-  // The Steensgaard degradation path is deterministic and thread-free, so
-  // the parallel trip must land on the identical fallback solution.
-  EXPECT_TRUE(P.Solution == Seq.Solution);
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ParallelEquivalence,
-                         testing::Values(1u, 2u, 4u, 8u));
-
 TEST(StatsSanity, CountersBehaveAsDocumented) {
   BenchmarkSpec Spec;
   Spec.NumFunctions = 8;
