@@ -49,6 +49,13 @@ struct SolverStats {
   uint64_t WorklistPops = 0;
   /// HCD preemptive collapses performed online.
   uint64_t HcdCollapses = 0;
+  /// New points-to members visited by the shared HCD online rule
+  /// (SolverContext::applyHcd: HCD, PKH+HCD, LCD+HCD).
+  uint64_t HcdMembers = 0;
+  /// (lazy target, new member) pairs that rule examined. With each
+  /// node's target list canonical this stays within a small multiple of
+  /// HcdMembers; duplicate targets inflate it.
+  uint64_t HcdMemberChecks = 0;
   /// LCD R-set probes: hash lookups asking "has this edge triggered a
   /// cycle search before". Since the fused union+equality kernel made
   /// the equality probe free, the R set is only consulted for edges
@@ -68,7 +75,7 @@ struct SolverStats {
 
   /// Number of counters; keep in sync with forEachField (asserted by
   /// mergeFrom).
-  static constexpr size_t NumFields = 12;
+  static constexpr size_t NumFields = 14;
 
   /// Invokes \p F with ("stable_name", field reference) for every counter,
   /// in declaration order. The single source of truth for merging,
@@ -82,6 +89,8 @@ struct SolverStats {
     F("edges_added", EdgesAdded);
     F("worklist_pops", WorklistPops);
     F("hcd_collapses", HcdCollapses);
+    F("hcd_members", HcdMembers);
+    F("hcd_member_checks", HcdMemberChecks);
     F("lcd_trigger_probes", LcdTriggerProbes);
     F("diff_elements_resolved", DiffElementsResolved);
     F("warm_seeded_nodes", WarmSeededNodes);

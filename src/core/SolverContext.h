@@ -427,8 +427,7 @@ public:
   template <typename PushFn> NodeId applyHcd(NodeId N, PushFn Push) {
     if (HcdTargets[N].empty())
       return N;
-    // Copy: merging appends the loser's targets to the survivor's list.
-    std::vector<NodeId> Targets = HcdTargets[N];
+    canonicalizeHcdTargets(N);
     // Only members not collapsed on a previous visit need work. Fused
     // kernel: collect them and absorb them into HcdSeen in one merge
     // walk (if nothing is new, the union is a no-op, preserving the old
@@ -444,6 +443,10 @@ public:
                                  [&](NodeId V) { Members.push_back(V); });
     if (Members.empty())
       return N;
+    // Copy: merging appends the loser's targets to the survivor's list.
+    std::vector<NodeId> Targets = HcdTargets[N];
+    Stats.HcdMembers += Members.size();
+    Stats.HcdMemberChecks += uint64_t(Targets.size()) * Members.size();
     for (NodeId T : Targets) {
       NodeId A = find(T);
       bool Merged = false;
@@ -555,7 +558,8 @@ public:
   /// Per node: complex-constraint batches with resolution frontiers.
   std::vector<std::vector<DerefGroup>> Derefs;
   /// HCD online table: when processing node n, collapse every member of
-  /// pts(n) with each target (usually zero or one entry).
+  /// pts(n) with each target. merge() appends lists, so one may hold
+  /// duplicates until applyHcd() canonicalizes it on n's next visit.
   std::vector<std::vector<NodeId>> HcdTargets;
 
 private:
@@ -583,6 +587,31 @@ private:
       D.Other = find(D.Other);
     std::sort(List.begin(), List.end());
     List.erase(std::unique(List.begin(), List.end()), List.end());
+  }
+
+  /// Canonicalizes \p N's lazy-target list: routes every target through
+  /// find() and keeps only the first occurrence of each representative.
+  /// merge() concatenates lists in O(1) and the solver constructors pile
+  /// every OVS-merged tuple onto one representative, so without this the
+  /// HCD rule multiplies each new member by hundreds of copies of the
+  /// same few targets. Dropping a duplicate never drops a merge: once its
+  /// first occurrence is processed, it and every member share one class.
+  /// First-occurrence order rather than sorted order keeps the sequence
+  /// of merges, and so each rank-tie survivor choice, unchanged.
+  void canonicalizeHcdTargets(NodeId N) {
+    std::vector<NodeId> &List = HcdTargets[N];
+    if (HcdMark.empty())
+      HcdMark.assign(CS.numNodes(), 0);
+    ++HcdMarkEpoch;
+    size_t Out = 0;
+    for (NodeId T : List) {
+      NodeId R = find(T);
+      if (HcdMark[R] != HcdMarkEpoch) {
+        HcdMark[R] = HcdMarkEpoch;
+        List[Out++] = R;
+      }
+    }
+    List.resize(Out);
   }
 
   /// Iterative Tarjan from \p Root over the representative graph; collapses
@@ -670,6 +699,11 @@ private:
   /// Heap-backed scratch for compactSuccs (the rebuilt set is copied
   /// back into the node's arena-bound bitmap on assignment).
   SparseBitVector SuccScratch;
+
+  /// canonicalizeHcdTargets' seen-stamps, per representative (allocated
+  /// on first use; 64-bit so the epoch never wraps).
+  std::vector<uint64_t> HcdMark;
+  uint64_t HcdMarkEpoch = 0;
 
   std::vector<NodeId> MergeLog;
   std::vector<uint32_t> VisitEpoch;

@@ -24,6 +24,8 @@ constexpr const char *CounterNames[] = {
     "solver.edges_added",
     "solver.worklist_pops",
     "solver.hcd_collapses",
+    "solver.hcd_members",
+    "solver.hcd_member_checks",
     "solver.lcd_trigger_probes",
     "solver.diff_elements_resolved",
     "solver.warm_seeded_nodes",
@@ -175,7 +177,7 @@ std::string MetricsRegistry::renderJson(bool Compact) const {
   std::string Out = "{";
   Out += Nl;
   Out += In1;
-  Out += "\"schema\": \"ag.metrics.v6\",";
+  Out += "\"schema\": \"ag.metrics.v7\",";
   Out += Nl;
 
   Out += In1;

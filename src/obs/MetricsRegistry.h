@@ -15,7 +15,7 @@
 /// rates.
 ///
 /// Rendering is deterministic: renderJson() emits every counter, gauge and
-/// histogram in enum order with a schema tag ("ag.metrics.v6"), so two runs
+/// histogram in enum order with a schema tag ("ag.metrics.v7"), so two runs
 /// at the same seed produce bit-identical files and CI can validate the
 /// key set against tests/metrics_schema.json (schema stability rules in
 /// DESIGN.md §11; v1 -> v2 added the set-interning counters and the
@@ -25,7 +25,8 @@
 /// histogram; v4 -> v5 added the serve.conns_* connection counters and
 /// the serve.conns_active gauge for the TCP front-end; v5 -> v6 removed
 /// the two solver.parallel_* round/epoch counters with the parallel
-/// solver).
+/// solver; v6 -> v7 added solver.hcd_members and
+/// solver.hcd_member_checks, the HCD online rule's work counts).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,6 +56,8 @@ enum class Counter : unsigned {
   SolverEdgesAdded,
   SolverWorklistPops,
   SolverHcdCollapses,
+  SolverHcdMembers,
+  SolverHcdMemberChecks,
   SolverLcdTriggerProbes,
   SolverDiffElementsResolved,
   SolverWarmSeededNodes,

@@ -9,6 +9,7 @@
 #include "obs/MetricsRegistry.h"
 
 #include <cmath>
+#include <thread>
 
 using namespace ag;
 using namespace ag::obs;
@@ -19,15 +20,27 @@ QuantileWindow::QuantileWindow(uint64_t SlotNanos)
 void QuantileWindow::record(uint64_t V) {
   uint64_t Epoch = nowNanos() / SlotNs;
   Slot &S = Slots[Epoch % NumSlots];
-  uint64_t Tag = S.Epoch.load(std::memory_order_acquire);
-  if (Tag != Epoch) {
-    // First recorder of a new epoch claims and zeroes the slot; losers of
-    // the CAS fall through and record into the freshly cleared slot.
-    if (S.Epoch.compare_exchange_strong(Tag, Epoch,
-                                        std::memory_order_acq_rel)) {
+  for (uint64_t Tag = S.Epoch.load(std::memory_order_acquire); Tag != Epoch;
+       Tag = S.Epoch.load(std::memory_order_acquire)) {
+    if (Tag == Clearing) {
+      // Another recorder is zeroing the slot for some epoch; anything
+      // written now would be wiped.
+      std::this_thread::yield();
+      continue;
+    }
+    // A straggler whose epoch has already been rotated past records into
+    // the newer epoch (the bounded bleed described in the header).
+    if (Tag != Unused && Tag > Epoch)
+      break;
+    // Claim the slot, zero it, then publish the epoch: no recorder can
+    // write into it before the clear finishes.
+    if (S.Epoch.compare_exchange_strong(Tag, Clearing,
+                                        std::memory_order_acquire)) {
       for (auto &B : S.Buckets)
         B.store(0, std::memory_order_relaxed);
       S.Count.store(0, std::memory_order_relaxed);
+      S.Epoch.store(Epoch, std::memory_order_release);
+      break;
     }
   }
   S.Buckets[bucketOf(V)].fetch_add(1, std::memory_order_relaxed);
@@ -43,7 +56,7 @@ uint64_t QuantileWindow::quantile(double Q) const {
   for (unsigned I = 0; I != NumSlots; ++I) {
     const Slot &S = Slots[I];
     uint64_t E = S.Epoch.load(std::memory_order_acquire);
-    if (E == UINT64_MAX || E < MinEpoch || E > CurEpoch)
+    if (E == Unused || E == Clearing || E < MinEpoch || E > CurEpoch)
       continue;
     for (unsigned B = 0; B != NumBuckets; ++B) {
       uint64_t N = S.Buckets[B].load(std::memory_order_relaxed);
@@ -79,7 +92,7 @@ uint64_t QuantileWindow::count() const {
   for (unsigned I = 0; I != NumSlots; ++I) {
     const Slot &S = Slots[I];
     uint64_t E = S.Epoch.load(std::memory_order_acquire);
-    if (E == UINT64_MAX || E < MinEpoch || E > CurEpoch)
+    if (E == Unused || E == Clearing || E < MinEpoch || E > CurEpoch)
       continue;
     Total += S.Count.load(std::memory_order_relaxed);
   }
@@ -89,7 +102,7 @@ uint64_t QuantileWindow::count() const {
 void QuantileWindow::reset() {
   for (unsigned I = 0; I != NumSlots; ++I) {
     Slot &S = Slots[I];
-    S.Epoch.store(UINT64_MAX, std::memory_order_relaxed);
+    S.Epoch.store(Unused, std::memory_order_relaxed);
     for (auto &B : S.Buckets)
       B.store(0, std::memory_order_relaxed);
     S.Count.store(0, std::memory_order_relaxed);

@@ -11,15 +11,19 @@
 /// is split into 2^SubBits sub-buckets, so a reported quantile over-
 /// estimates the true value by at most 2^-SubBits = 12.5% relative error
 /// with SubBits = 3). Recording is two relaxed atomic increments plus a
-/// bucket computation — no locks, no allocation, TSan-clean — and the
+/// bucket computation — no allocation, TSan-clean — and the
 /// window slides by rotating through NumSlots time slots, each covering
 /// SlotNanos; readers merge the slots that still fall inside the window.
 ///
-/// Slot rotation is optimistic: the first recorder to enter a new epoch
-/// CASes the slot's epoch tag and zeroes it. A straggler that was still
-/// writing into the old epoch can leak a handful of samples into the fresh
-/// slot; that statistical bleed is bounded by the number of concurrently
-/// recording threads and is irrelevant at quantile granularity.
+/// Slot rotation: the first recorder to enter a new epoch CASes the slot's
+/// epoch tag to a Clearing sentinel, zeroes the slot, then release-stores
+/// the new epoch. Recorders that see the sentinel wait for that store
+/// (once per slot per rotation, a few hundred stores long), and readers
+/// skip the slot, so no sample recorded into the new epoch is wiped. A
+/// straggler that was still writing into the old epoch can leak a handful
+/// of samples into the fresh slot; that statistical bleed is bounded by
+/// the number of concurrently recording threads and is irrelevant at
+/// quantile granularity.
 ///
 /// LatencyTracker aggregates one window per CommandClass and publishes
 /// serve.latency.{p50,p90,p99}.{query,mutate,admin} gauges on demand (the
@@ -52,7 +56,8 @@ public:
   /// last NumSlots * SlotNanos of wall time (default ~16 s).
   explicit QuantileWindow(uint64_t SlotNanos = 2000000000ull);
 
-  /// Records one sample at the current time. Lock- and allocation-free.
+  /// Records one sample at the current time. Allocation-free; waits only
+  /// while another recorder clears the slot for a new epoch.
   void record(uint64_t V);
 
   /// The \p Q quantile (0 < Q <= 1) over the live window, as the upper
@@ -87,8 +92,13 @@ public:
   }
 
 private:
+  /// Slot epoch tags that name no epoch: never used, and being zeroed by
+  /// the recorder that claimed it.
+  static constexpr uint64_t Unused = UINT64_MAX;
+  static constexpr uint64_t Clearing = UINT64_MAX - 1;
+
   struct Slot {
-    std::atomic<uint64_t> Epoch{UINT64_MAX}; ///< UINT64_MAX = never used.
+    std::atomic<uint64_t> Epoch{Unused};
     std::atomic<uint32_t> Buckets[NumBuckets] = {};
     std::atomic<uint64_t> Count{0};
   };

@@ -8,7 +8,8 @@
 /// The QuantileWindow's accuracy and concurrency contracts: log-linear
 /// buckets (3 sub-bucket bits) bound the relative error of any reported
 /// quantile at 12.5%, verified against exact sorted percentiles on
-/// randomized inputs; concurrent recording is lock-free and TSan-clean;
+/// randomized inputs; concurrent recording loses nothing, also while a
+/// fresh slot is being claimed and cleared, and is TSan-clean;
 /// and the LatencyTracker publishes its quantiles into the registry's
 /// serve.latency.* gauges in class-major order.
 ///
@@ -22,7 +23,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <barrier>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <thread>
 #include <vector>
@@ -123,6 +126,37 @@ TEST(QuantileWindow, ConcurrentRecordingLosesNothing) {
   // One giant slot: nothing can rotate out, so every record must count.
   EXPECT_EQ(W.count(), uint64_t(Threads) * PerThread);
   EXPECT_GT(W.quantile(0.99), 0u);
+}
+
+/// Every record that arrives while the first recorder is still clearing a
+/// fresh slot must survive the clear. A fresh window makes all its slots
+/// unclaimed, so each round here races Threads first records for the claim
+/// of one slot; recording before the clear finished used to wipe samples.
+TEST(QuantileWindow, RecordsDuringSlotClaimSurvive) {
+  constexpr unsigned Threads = 4, PerThread = 32, Rounds = 400;
+  std::unique_ptr<obs::QuantileWindow> W;
+  std::barrier Sync(Threads + 1);
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T != Threads; ++T)
+    Workers.emplace_back([&] {
+      for (unsigned R = 0; R != Rounds; ++R) {
+        Sync.arrive_and_wait();
+        for (unsigned I = 0; I != PerThread; ++I)
+          W->record(I + 1);
+        Sync.arrive_and_wait();
+      }
+    });
+  unsigned LossyRounds = 0;
+  for (unsigned R = 0; R != Rounds; ++R) {
+    W = std::make_unique<obs::QuantileWindow>(uint64_t(1) << 62);
+    Sync.arrive_and_wait();
+    Sync.arrive_and_wait();
+    LossyRounds += W->count() != uint64_t(Threads) * PerThread;
+  }
+  for (std::thread &Worker : Workers)
+    Worker.join();
+  EXPECT_EQ(LossyRounds, 0u) << "rounds of " << Rounds
+                             << " that lost records to a slot clear";
 }
 
 TEST(QuantileWindow, LatencyTrackerPublishesClassedGauges) {
