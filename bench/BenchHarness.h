@@ -62,7 +62,7 @@ struct RunResult {
   uint64_t InternedMisses = 0;
   uint64_t PhysicalSetBytes = 0; ///< Bytes of distinct solution sets.
   uint64_t RoutedSetBytes = 0;   ///< Bytes if every rep held a private copy.
-  /// Compact "ag.metrics.v7" JSON for this run, captured when the run was
+  /// Compact "ag.metrics.v8" JSON for this run, captured when the run was
   /// made with CaptureMetrics (empty otherwise). Bench binaries embed it
   /// verbatim into their BENCH_*.json rows instead of hand-plumbing
   /// individual counter fields.

@@ -75,7 +75,7 @@ struct QueryRow {
   uint64_t DemandSteps = 0;     ///< Deduction steps of the targeted query.
   unsigned DemandSampleN = 0;   ///< Pool nodes sampled for the distribution.
   std::string WarmupJson;       ///< Memo warm-up curve (JSON array).
-  std::string MetricsJson; ///< Compact ag.metrics.v7 object for the suite.
+  std::string MetricsJson; ///< Compact ag.metrics.v8 object for the suite.
 };
 
 void appendJsonEscaped(std::string &Out, const std::string &S) {
@@ -156,7 +156,7 @@ int main(int Argc, char **Argv) {
   std::vector<QueryRow> Rows;
   bool Correct = true;
 
-  // One ag.metrics.v7 snapshot per suite covering the whole serving
+  // One ag.metrics.v8 snapshot per suite covering the whole serving
   // story: snapshot load, query mixes (LRU hits/misses), cold solve and
   // warm re-solve. Embedded into the JSON rows below.
   obs::setMetricsEnabled(true);

@@ -7,7 +7,7 @@
 /// \file
 /// Machine-readable solver comparison: for every algorithm (bitmap sets),
 /// cold wall-clock time plus the min of three repetitions, an embedded
-/// "ag.metrics.v7" snapshot and peak tracked bytes per suite. A "memory"
+/// "ag.metrics.v8" snapshot and peak tracked bytes per suite. A "memory"
 /// section records the memory-kernel story per suite (arena slab
 /// high-water mark, set-interning hit rate, physical vs routed solution
 /// bytes) from the LCD+HCD run. Results land in BENCH_solvers.json
@@ -45,7 +45,7 @@ struct SolverRow {
   double WallMs = 0; ///< Min of SolverReps repetitions.
   uint64_t WorklistPops = 0;
   uint64_t PeakBytes = 0;
-  std::string MetricsJson; ///< Compact ag.metrics.v7 object for this run.
+  std::string MetricsJson; ///< Compact ag.metrics.v8 object for this run.
 };
 
 /// Memory-kernel numbers for one suite (from the cold LCD+HCD run).

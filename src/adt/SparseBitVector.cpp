@@ -277,50 +277,6 @@ bool SparseBitVector::unionWithMinus(const SparseBitVector &RHS,
   return Changed;
 }
 
-SparseBitVector::UnionResult
-SparseBitVector::unionWithStatus(const SparseBitVector &RHS) {
-  if (this == &RHS)
-    return {false, true};
-  bool Changed = false;
-  bool Equal = true;
-  Element *Prev = nullptr;
-  Element *L = Head;
-  const Element *R = RHS.Head;
-  while (R) {
-    if (L && L->Index == R->Index) {
-      uint64_t New0 = R->Words[0] & ~L->Words[0];
-      uint64_t New1 = R->Words[1] & ~L->Words[1];
-      Equal &= (L->Words[0] == R->Words[0]) & (L->Words[1] == R->Words[1]);
-      L->Words[0] |= R->Words[0];
-      L->Words[1] |= R->Words[1];
-      Changed |= (New0 | New1) != 0;
-      Prev = L;
-      L = L->Next;
-      R = R->Next;
-    } else if (!L || L->Index > R->Index) {
-      Element *New = allocateElement(R->Index, L);
-      New->Words[0] = R->Words[0];
-      New->Words[1] = R->Words[1];
-      if (Prev)
-        Prev->Next = New;
-      else
-        Head = New;
-      Prev = New;
-      R = R->Next;
-      Changed = true;
-      Equal = false;
-    } else { // L->Index < R->Index: an element RHS lacks.
-      Equal = false;
-      Prev = L;
-      L = L->Next;
-    }
-  }
-  if (L) // Leftover destination elements RHS lacks.
-    Equal = false;
-  Curr = Head;
-  return {Changed, Equal};
-}
-
 bool SparseBitVector::unionWithDelta(const SparseBitVector &RHS,
                                      SparseBitVector &Delta) {
   assert(&Delta != this && &Delta != &RHS &&

@@ -144,19 +144,6 @@ public:
   /// Sets this to the union with \p RHS. \returns true if this changed.
   bool unionWith(const SparseBitVector &RHS);
 
-  /// Result of a fused union: whether the destination changed, and
-  /// whether it was exactly equal to the source *before* the union (in
-  /// which case the union was necessarily a no-op).
-  struct UnionResult {
-    bool Changed;
-    bool WasEqual;
-  };
-
-  /// Fused `this |= RHS` + `this == RHS` probe in a single merge pass.
-  /// The lazy-cycle-detection edge loop needs both answers for every
-  /// copy edge; doing them separately walks both element lists twice.
-  UnionResult unionWithStatus(const SparseBitVector &RHS);
-
   /// Fused `this |= RHS` that ORs every newly set bit into \p Delta in
   /// the same merge pass — the producer side of difference propagation:
   /// \p Delta accumulates exactly the bits that arrived in this set

@@ -57,16 +57,20 @@ struct SolverStats {
   /// HcdMembers; duplicate targets inflate it.
   uint64_t HcdMemberChecks = 0;
   /// LCD R-set probes: hash lookups asking "has this edge triggered a
-  /// cycle search before". Since the fused union+equality kernel made
-  /// the equality probe free, the R set is only consulted for edges
-  /// whose sets compared equal (not once per edge visit), so this
-  /// counts equality-passing edge visits. Like every counter here it
-  /// repeats exactly across identical solves.
+  /// cycle search before", made before the equality test on each swept
+  /// edge whose propagation changed nothing. Only pops with something
+  /// pending sweep, so this never exceeds Propagations minus
+  /// ChangedPropagations. Like every counter here it repeats exactly
+  /// across identical solves.
   uint64_t LcdTriggerProbes = 0;
   /// Points-to elements pushed through complex-constraint resolution
   /// frontiers (the difference-propagation work the MDE deduplication
   /// line of work targets — re-resolution shows up here).
   uint64_t DiffElementsResolved = 0;
+  /// Edge insertions tried by complex-constraint resolution. Offset-0
+  /// derefs are tried once per target representative per pass, so this
+  /// stays far below (frontier elements x derefs) on collapsed sets.
+  uint64_t ResolveEdgeAttempts = 0;
   /// Warm-start re-solves: nodes seeded into the initial worklist (the
   /// delta-touched set).
   uint64_t WarmSeededNodes = 0;
@@ -75,7 +79,7 @@ struct SolverStats {
 
   /// Number of counters; keep in sync with forEachField (asserted by
   /// mergeFrom).
-  static constexpr size_t NumFields = 14;
+  static constexpr size_t NumFields = 15;
 
   /// Invokes \p F with ("stable_name", field reference) for every counter,
   /// in declaration order. The single source of truth for merging,
@@ -93,6 +97,7 @@ struct SolverStats {
     F("hcd_member_checks", HcdMemberChecks);
     F("lcd_trigger_probes", LcdTriggerProbes);
     F("diff_elements_resolved", DiffElementsResolved);
+    F("resolve_edge_attempts", ResolveEdgeAttempts);
     F("warm_seeded_nodes", WarmSeededNodes);
     F("warm_new_constraints", WarmNewConstraints);
   }

@@ -106,6 +106,16 @@ private:
       }
       G.governorStep();
 
+      // Figure 2 acts on a node popped because its set changed. With
+      // nothing pending (no delta, no non-empty full set) there is
+      // nothing to resolve, collapse or propagate, and probing the
+      // trigger would only repeat equality walks across edges this node
+      // has already swept. Clearing still retires an empty full flag.
+      if (!G.hasPending(Node)) {
+        G.clearPending(Node);
+        continue;
+      }
+
       // HCD first (Figure 5's check of the lazy table L).
       Node = G.applyHcd(Node, Push);
 
@@ -137,11 +147,12 @@ private:
         }
       }
       // Propagate this node's pending delta along outgoing edges,
-      // lazily sniffing for cycles.
+      // lazily sniffing for cycles. Pending state only grows during the
+      // pop (merges re-pend the whole survivor), so the frontier is
+      // still non-empty.
+      assert(G.hasPending(Node) && "pending frontier lost mid-pop");
       bool Restart = false;
-      bool NodeEmpty = G.Pts[Node].empty();
-      bool FullPending = G.FullDelta[Node] && !NodeEmpty;
-      bool HaveDelta = FullPending || !G.Delta[Node].empty();
+      bool FullPending = G.FullDelta[Node];
       uint32_t SweptTargets = 0, StaleTargets = 0;
       for (uint32_t Raw : G.Succs[Node]) {
         NodeId Z = G.find(Raw);
@@ -150,8 +161,8 @@ private:
           ++StaleTargets;
         if (Z == Node)
           continue;
-        bool Changed = HaveDelta && (FullPending ? G.propagateFull(Node, Z)
-                                                 : G.propagateDelta(Node, Z));
+        bool Changed = FullPending ? G.propagateFull(Node, Z)
+                                   : G.propagateDelta(Node, Z);
         if (Changed)
           W.push(Z);
         // The lazy trigger: identical points-to sets suggest a cycle —
@@ -165,8 +176,7 @@ private:
         // every word — and an edge that triggered once stays equal and
         // would pay that walk on every subsequent sweep. Same triggers
         // fire either way; only the probe cost moves.
-        if (!Changed && !NodeEmpty &&
-            !alreadyTriggered(Node, Z) &&
+        if (!Changed && !alreadyTriggered(Node, Z) &&
             G.Pts[Node].equals(G.Ctx, G.Pts[Z]) && markTriggered(Node, Z)) {
           if (obs::traceEnabled())
             obs::TraceRecorder::instance().instant("lcd_trigger", "solver",

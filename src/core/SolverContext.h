@@ -240,6 +240,12 @@ public:
     return FullDelta[N] ? Pts[N] : Delta[N];
   }
 
+  /// Whether \p N has anything pending: a non-empty arrival delta, or
+  /// the full-set flag over a non-empty set.
+  bool hasPending(NodeId N) const {
+    return !pendingFrontier(N).empty();
+  }
+
   /// Clears \p N's pending state after a clean (un-restarted) sweep:
   /// every successor and complex constraint has seen the frontier.
   void clearPending(NodeId N) {
@@ -364,28 +370,52 @@ public:
       // profile.
       ScratchLoads.clear();
       ScratchStores.clear();
-      for (const Deref &D : G.Loads)
+      bool AllOffsetZero = true;
+      for (const Deref &D : G.Loads) {
         ScratchLoads.push_back(Deref{find(D.Other), D.Offset});
-      for (const Deref &D : G.Stores)
+        AllOffsetZero &= D.Offset == 0;
+      }
+      for (const Deref &D : G.Stores) {
         ScratchStores.push_back(Deref{find(D.Other), D.Offset});
-      uint64_t FrontierSize = 0;
+        AllOffsetZero &= D.Offset == 0;
+      }
+      // An offset-0 deref of V targets find(V) itself, and the collapsed
+      // near-universal sets hold many elements per representative. Once
+      // one element of a class has tried this group's offset-0 edges,
+      // every later one would find them all present (the walk merges
+      // nothing, so no edge moves): skip them, exactly. Fields
+      // (non-zero offsets) of two objects in one class need not share a
+      // representative, so those keep the per-element attempts.
+      const uint64_t Epoch = nextRepMarkEpoch();
+      uint64_t FrontierSize = 0, Attempts = 0;
       auto Visit = [&](NodeId V) {
         ++FrontierSize;
-        for (const Deref &D : ScratchLoads) {
+        NodeId R = find(V);
+        bool FirstOfClass = RepMark[R] != Epoch;
+        RepMark[R] = Epoch;
+        if (!FirstOfClass && AllOffsetZero)
+          return;
+        auto TargetOf = [&](const Deref &D) -> NodeId {
+          if (D.Offset == 0)
+            return FirstOfClass ? R : InvalidNode;
           NodeId T = CS.offsetTarget(V, D.Offset);
+          return T == InvalidNode ? T : find(T);
+        };
+        for (const Deref &D : ScratchLoads) {
+          NodeId T = TargetOf(D);
           if (T == InvalidNode)
             continue;
-          T = find(T);
+          ++Attempts;
           if (addEdgeReps(T, D.Other)) {
             Push(T);
             OnEdge(T, D.Other);
           }
         }
         for (const Deref &D : ScratchStores) {
-          NodeId T = CS.offsetTarget(V, D.Offset);
+          NodeId T = TargetOf(D);
           if (T == InvalidNode)
             continue;
-          T = find(T);
+          ++Attempts;
           if (addEdgeReps(D.Other, T)) {
             Push(D.Other);
             OnEdge(D.Other, T);
@@ -403,6 +433,7 @@ public:
         Pts[N].forEachDiff(Ctx, G.Resolved, Visit);
       }
       Stats.DiffElementsResolved += FrontierSize;
+      Stats.ResolveEdgeAttempts += Attempts;
       obs::observe(obs::Hist::PtsDiffSize, FrontierSize);
     }
     // Every group is now resolved against the full current set:
@@ -600,14 +631,12 @@ private:
   /// of merges, and so each rank-tie survivor choice, unchanged.
   void canonicalizeHcdTargets(NodeId N) {
     std::vector<NodeId> &List = HcdTargets[N];
-    if (HcdMark.empty())
-      HcdMark.assign(CS.numNodes(), 0);
-    ++HcdMarkEpoch;
+    const uint64_t Epoch = nextRepMarkEpoch();
     size_t Out = 0;
     for (NodeId T : List) {
       NodeId R = find(T);
-      if (HcdMark[R] != HcdMarkEpoch) {
-        HcdMark[R] = HcdMarkEpoch;
+      if (RepMark[R] != Epoch) {
+        RepMark[R] = Epoch;
         List[Out++] = R;
       }
     }
@@ -700,10 +729,19 @@ private:
   /// back into the node's arena-bound bitmap on assignment).
   SparseBitVector SuccScratch;
 
-  /// canonicalizeHcdTargets' seen-stamps, per representative (allocated
-  /// on first use; 64-bit so the epoch never wraps).
-  std::vector<uint64_t> HcdMark;
-  uint64_t HcdMarkEpoch = 0;
+  /// Starts a pass over RepMark: a representative counts as seen in
+  /// this pass iff its stamp equals the returned epoch.
+  uint64_t nextRepMarkEpoch() {
+    if (RepMark.empty())
+      RepMark.assign(CS.numNodes(), 0);
+    return ++RepMarkEpoch;
+  }
+
+  /// Per-representative seen-stamps shared by canonicalizeHcdTargets and
+  /// resolveComplexFrom, whose passes never overlap (allocated on first
+  /// use; 64-bit so the epoch never wraps).
+  std::vector<uint64_t> RepMark;
+  uint64_t RepMarkEpoch = 0;
 
   std::vector<NodeId> MergeLog;
   std::vector<uint32_t> VisitEpoch;

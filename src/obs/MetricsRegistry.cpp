@@ -28,6 +28,7 @@ constexpr const char *CounterNames[] = {
     "solver.hcd_member_checks",
     "solver.lcd_trigger_probes",
     "solver.diff_elements_resolved",
+    "solver.resolve_edge_attempts",
     "solver.warm_seeded_nodes",
     "solver.warm_new_constraints",
     "solver.runs",
@@ -177,7 +178,7 @@ std::string MetricsRegistry::renderJson(bool Compact) const {
   std::string Out = "{";
   Out += Nl;
   Out += In1;
-  Out += "\"schema\": \"ag.metrics.v7\",";
+  Out += "\"schema\": \"ag.metrics.v8\",";
   Out += Nl;
 
   Out += In1;

@@ -15,7 +15,7 @@
 /// rates.
 ///
 /// Rendering is deterministic: renderJson() emits every counter, gauge and
-/// histogram in enum order with a schema tag ("ag.metrics.v7"), so two runs
+/// histogram in enum order with a schema tag ("ag.metrics.v8"), so two runs
 /// at the same seed produce bit-identical files and CI can validate the
 /// key set against tests/metrics_schema.json (schema stability rules in
 /// DESIGN.md §11; v1 -> v2 added the set-interning counters and the
@@ -26,7 +26,9 @@
 /// the serve.conns_active gauge for the TCP front-end; v5 -> v6 removed
 /// the two solver.parallel_* round/epoch counters with the parallel
 /// solver; v6 -> v7 added solver.hcd_members and
-/// solver.hcd_member_checks, the HCD online rule's work counts).
+/// solver.hcd_member_checks, the HCD online rule's work counts; v7 -> v8
+/// added solver.resolve_edge_attempts, complex-constraint resolution's
+/// edge insertions tried).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,6 +62,7 @@ enum class Counter : unsigned {
   SolverHcdMemberChecks,
   SolverLcdTriggerProbes,
   SolverDiffElementsResolved,
+  SolverResolveEdgeAttempts,
   SolverWarmSeededNodes,
   SolverWarmNewConstraints,
   // --- incremented directly at instrumentation points ---

@@ -353,7 +353,7 @@ TEST_F(ObsTest, MetricsJsonBitIdenticalSingleThreaded) {
     EXPECT_EQ(First, Second)
         << solverKindName(Kind) << " metrics not run-to-run identical";
     EXPECT_TRUE(isValidJson(First)) << solverKindName(Kind);
-    EXPECT_NE(First.find("\"ag.metrics.v7\""), std::string::npos);
+    EXPECT_NE(First.find("\"ag.metrics.v8\""), std::string::npos);
     // Compact rendering is the same document minus whitespace.
     std::string Compact = Reg.renderJson(/*Compact=*/true);
     EXPECT_TRUE(isValidJson(Compact));

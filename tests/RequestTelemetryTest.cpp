@@ -9,7 +9,7 @@
 /// request emits exactly one well-formed "ag.events.v1" line with a unique
 /// trace id, tier attribution reflects how the answer was produced
 /// (cache_hit flips on a repeated query), `stats json` returns the
-/// ag.metrics.v7 document, and a deadline-dropped request's wide event is
+/// ag.metrics.v8 document, and a deadline-dropped request's wide event is
 /// correlated — by trace id — with its slow-query log entry, which also
 /// carries a FlightRecorder ring snapshot.
 ///
@@ -133,7 +133,7 @@ TEST(RequestTelemetry, StatsJsonReturnsTheMetricsDocument) {
   std::ostringstream Out;
   EXPECT_EQ(S.run(In, Out), 0);
   const std::string Text = Out.str();
-  EXPECT_NE(Text.find("\"ag.metrics.v7\""), std::string::npos)
+  EXPECT_NE(Text.find("\"ag.metrics.v8\""), std::string::npos)
       << "stats json must emit the renderJson document";
   EXPECT_NE(Text.find("\"serve.requests\""), std::string::npos);
   EXPECT_NE(Text.find("\"serve.latency.p99.query\""), std::string::npos);

@@ -363,52 +363,7 @@ TEST_P(SparseBitVectorAlgebra, BulkOpsMatchSetAlgebra) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SparseBitVectorAlgebra,
                          testing::Range<uint64_t>(1, 17));
 
-// --- Fused kernels (unionWithStatus / unionWithVisitNew) -----------------
-
-TEST(SparseBitVector, UnionWithStatusReportsEqualityAndChange) {
-  SparseBitVector A, B;
-  for (uint32_t X : {1u, 128u, 5000u}) {
-    A.set(X);
-    B.set(X);
-  }
-  // Equal operands: no change, equality observed.
-  SparseBitVector::UnionResult R = A.unionWithStatus(B);
-  EXPECT_FALSE(R.Changed);
-  EXPECT_TRUE(R.WasEqual);
-  // Self-union is the degenerate equal case.
-  R = A.unionWithStatus(A);
-  EXPECT_FALSE(R.Changed);
-  EXPECT_TRUE(R.WasEqual);
-  // Strict superset destination: nothing new, but not equal.
-  A.set(70);
-  R = A.unionWithStatus(B);
-  EXPECT_FALSE(R.Changed);
-  EXPECT_FALSE(R.WasEqual);
-  // Strict subset destination: grows, not equal.
-  R = B.unionWithStatus(A);
-  EXPECT_TRUE(R.Changed);
-  EXPECT_FALSE(R.WasEqual);
-  EXPECT_TRUE(A == B);
-  // Empty RHS against non-empty LHS: union no-op but not equal.
-  SparseBitVector Empty;
-  R = A.unionWithStatus(Empty);
-  EXPECT_FALSE(R.Changed);
-  EXPECT_FALSE(R.WasEqual);
-  // Both empty: equal.
-  SparseBitVector Empty2;
-  R = Empty2.unionWithStatus(Empty);
-  EXPECT_FALSE(R.Changed);
-  EXPECT_TRUE(R.WasEqual);
-  // Disjoint element lists (RHS-only elements before and after LHS's).
-  SparseBitVector Lo, Mid;
-  Mid.set(200);
-  Lo.set(3);
-  Lo.set(100000);
-  R = Mid.unionWithStatus(Lo);
-  EXPECT_TRUE(R.Changed);
-  EXPECT_FALSE(R.WasEqual);
-  EXPECT_EQ(toVector(Mid), (std::vector<uint32_t>{3, 200, 100000}));
-}
+// --- Fused kernel (unionWithVisitNew) ------------------------------------
 
 TEST(SparseBitVector, UnionWithVisitNewVisitsExactlyTheNewBitsAscending) {
   // Alternating elements: A holds elements 0/2/4, B holds 1/3/5 plus a
@@ -482,10 +437,9 @@ TEST(SparseBitVector, FusedKernelsMatchOracleRandomized) {
       if (!SA.count(X))
         OracleNew.push_back(X);
 
+    EXPECT_EQ(A == B, SA == SB) << "seed " << Seed;
     SparseBitVector U1 = A;
-    SparseBitVector::UnionResult St = U1.unionWithStatus(B);
-    EXPECT_EQ(St.Changed, !OracleNew.empty()) << "seed " << Seed;
-    EXPECT_EQ(St.WasEqual, SA == SB) << "seed " << Seed;
+    EXPECT_EQ(U1.unionWith(B), !OracleNew.empty()) << "seed " << Seed;
     EXPECT_EQ(toVector(U1), std::vector<uint32_t>(SU.begin(), SU.end()))
         << "seed " << Seed;
 
