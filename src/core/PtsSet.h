@@ -15,7 +15,7 @@
 ///
 /// Policy interface:
 ///   struct Policy {
-///     struct Context { explicit Context(uint32_t NumNodes); };
+///     struct Context { explicit Context(const ConstraintSystem &); };
 ///     class Set {
 ///       bool insert(Context &, NodeId);        // true if newly added
 ///       bool unionWith(Context &, const Set &); // true if changed
@@ -30,6 +30,11 @@
 ///     };
 ///   };
 ///
+/// Every NodeId crossing this interface is an original node id. What a
+/// Set stores internally is the policy's business: the bitmap policy
+/// stores dense object indices (see BitmapPtsPolicy::Context), the BDD
+/// policy stores node ids.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AG_CORE_PTSSET_H
@@ -38,21 +43,64 @@
 #include "adt/ElementArena.h"
 #include "adt/SparseBitVector.h"
 #include "bdd/BddDomain.h"
-#include "constraints/Constraint.h"
+#include "constraints/ConstraintSystem.h"
 
 #include <memory>
+#include <vector>
 
 namespace ag {
 
-/// Sparse-bitmap points-to sets (the GCC 4.1.1 representation).
+/// Sparse-bitmap points-to sets (the GCC 4.1.1 representation), stored
+/// over a dense object index rather than over node ids.
 struct BitmapPtsPolicy {
+  /// Only AddressOf sources are ever pointed to, and the node numbering
+  /// interleaves them with every other node, so bitmaps keyed by node id
+  /// spread a near-universal set over many sparsely filled 128-bit
+  /// elements. The Context numbers the objects densely, in ascending
+  /// node-id order; a Set stores indices and translates at its boundary
+  /// (insert/contains map node -> index, every visitor and toBitmap maps
+  /// back). Because the map is monotone, sets iterate in node-id order,
+  /// exactly as node-id bitmaps would.
   struct Context {
-    explicit Context(uint32_t /*NumNodes*/) {}
+    explicit Context(const ConstraintSystem &CS)
+        : IndexOf(CS.numNodes(), Unmapped) {
+      for (const Constraint &C : CS.constraints())
+        if (C.Kind == ConstraintKind::AddressOf)
+          IndexOf[C.Src] = 0;
+      for (NodeId V = 0; V != IndexOf.size(); ++V)
+        if (IndexOf[V] != Unmapped) {
+          IndexOf[V] = static_cast<uint32_t>(NodeOf.size());
+          NodeOf.push_back(V);
+        }
+    }
+
+    /// Dense index of \p N, or Unmapped if \p N is not an object.
+    uint32_t indexOf(NodeId N) const {
+      return N < IndexOf.size() ? IndexOf[N] : Unmapped;
+    }
+
+    /// Dense index of \p N, giving a node that is not yet an object the
+    /// next index. Only a warm-start delta that takes the address of a
+    /// former non-object reaches the append; its index breaks the
+    /// ascending order of iteration, never set semantics.
+    uint32_t indexFor(NodeId N) {
+      if (N >= IndexOf.size())
+        IndexOf.resize(N + 1, Unmapped);
+      if (IndexOf[N] == Unmapped) {
+        IndexOf[N] = static_cast<uint32_t>(NodeOf.size());
+        NodeOf.push_back(N);
+      }
+      return IndexOf[N];
+    }
+
+    static constexpr uint32_t Unmapped = ~0u;
+    std::vector<uint32_t> IndexOf; ///< Node id -> dense index.
+    std::vector<NodeId> NodeOf;    ///< Dense index -> node id.
   };
 
   class Set {
   public:
-    bool insert(Context &, NodeId N) { return Bits.set(N); }
+    bool insert(Context &Ctx, NodeId N) { return Bits.set(Ctx.indexFor(N)); }
     bool unionWith(Context &, const Set &RHS) {
       return Bits.unionWith(RHS.Bits);
     }
@@ -62,9 +110,9 @@ struct BitmapPtsPolicy {
     /// forEachDiff + absorb as one walk). \p Fn must not mutate either
     /// operand. \returns true if this changed.
     template <typename F>
-    bool unionWithVisitNew(Context &, const Set &RHS, F Fn) {
+    bool unionWithVisitNew(Context &Ctx, const Set &RHS, F Fn) {
       return Bits.unionWithVisitNew(
-          RHS.Bits, [&](uint32_t N) { Fn(static_cast<NodeId>(N)); });
+          RHS.Bits, [&](uint32_t I) { Fn(Ctx.NodeOf[I]); });
     }
 
     /// Fused union that ORs the newly added bits into \p Delta during
@@ -84,32 +132,32 @@ struct BitmapPtsPolicy {
     bool equals(const Context &, const Set &RHS) const {
       return Bits == RHS.Bits;
     }
-    bool contains(const Context &, NodeId N) const { return Bits.test(N); }
+    bool contains(const Context &Ctx, NodeId N) const {
+      uint32_t I = Ctx.indexOf(N);
+      return I != Context::Unmapped && Bits.test(I);
+    }
     bool empty() const { return Bits.empty(); }
     size_t size(const Context &) const { return Bits.count(); }
 
-    template <typename F> void forEach(const Context &, F Fn) const {
-      for (uint32_t N : Bits)
-        Fn(static_cast<NodeId>(N));
+    template <typename F> void forEach(const Context &Ctx, F Fn) const {
+      for (uint32_t I : Bits)
+        Fn(Ctx.NodeOf[I]);
     }
 
     /// Visits the elements of this set that are not in \p Exclude.
     /// Allocation-free: a dual-cursor merge walk over the two element
     /// lists (no temporary difference vector is built).
     template <typename F>
-    void forEachDiff(const Context &, const Set &Exclude, F Fn) const {
-      Bits.forEachDiff(Exclude.Bits,
-                       [&](uint32_t N) { Fn(static_cast<NodeId>(N)); });
+    void forEachDiff(const Context &Ctx, const Set &Exclude, F Fn) const {
+      Bits.forEachDiff(Exclude.Bits, [&](uint32_t I) { Fn(Ctx.NodeOf[I]); });
     }
 
-    void toBitmap(const Context &, SparseBitVector &Out) const {
-      Out = Bits;
+    void toBitmap(const Context &Ctx, SparseBitVector &Out) const {
+      Out.clear();
+      forEach(Ctx, [&](NodeId N) { Out.set(N); });
     }
     void clearAndFree(Context &) { Bits.clear(); }
     size_t memoryBytes() const { return Bits.memoryBytes(); }
-
-    /// Bitmap-specific accessor for fast paths.
-    const SparseBitVector &bits() const { return Bits; }
 
   private:
     SparseBitVector Bits;
@@ -120,12 +168,12 @@ struct BitmapPtsPolicy {
 /// stores the entire points-to solution in a single BDD, we give each
 /// variable its own BDD").
 struct BddPtsPolicy {
+  /// Sets keep node ids: the object domain spans every node.
   struct Context {
-    explicit Context(uint32_t NumNodes)
+    explicit Context(const ConstraintSystem &CS)
         : Mgr(std::make_unique<BddManager>(1u << 12)),
-          Doms(std::make_unique<BddDomains>(*Mgr,
-                                            std::vector<uint64_t>{
-                                                std::max(NumNodes, 2u)})) {}
+          Doms(std::make_unique<BddDomains>(
+              *Mgr, std::vector<uint64_t>{std::max(CS.numNodes(), 2u)})) {}
 
     /// One shared manager and a single object domain.
     std::unique_ptr<BddManager> Mgr;

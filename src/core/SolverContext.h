@@ -17,9 +17,11 @@
 ///    for representatives; merge() moves a loser's state into the survivor.
 ///  * Edge bitmaps may hold stale (merged-away) target ids; iteration maps
 ///    each target through find() and skips self references.
-///  * Points-to set *elements* are always original object ids — merging
-///    never rewrites set contents; dereference resolution maps an element
-///    through offsetTarget() and then find().
+///  * Points-to set elements are original object ids at every PtsSet
+///    call (the bitmap policy stores dense object indices and translates
+///    at its boundary), and original ids in every PointsToSolution —
+///    merging never rewrites set contents; dereference resolution maps an
+///    element through offsetTarget() and then find().
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,7 +87,7 @@ public:
   SolverContext(const ConstraintSystem &CS, SolverStats &Stats,
                 const std::vector<NodeId> *SeedReps = nullptr,
                 bool ReverseEdges = false)
-      : CS(CS), Stats(Stats), Ctx(CS.numNodes()),
+      : CS(CS), Stats(Stats), Ctx(CS),
         Arena(SparseBitVector::elementBytes()) {
     const uint32_t N = CS.numNodes();
     Reps.grow(N);

@@ -226,6 +226,37 @@ TEST(IncrementalSolver, AddNodeExtendsTheSystem) {
   EXPECT_TRUE(R.Solution == Cold);
 }
 
+TEST(IncrementalSolver, DeltaTakesAddressOfALowNonObject) {
+  // x has the lowest id and is a pointer in the base, never an object.
+  // The delta makes it one: the bitmap policy appends it after the
+  // base's objects, out of ascending order.
+  ConstraintSystem Base;
+  NodeId X = Base.addNode("x"), P = Base.addNode("p"), Q = Base.addNode("q"),
+         R = Base.addNode("r"), S = Base.addNode("s"), A = Base.addNode("a"),
+         B = Base.addNode("b"), C = Base.addNode("c");
+  Base.addAddressOf(X, A);
+  Base.addAddressOf(P, B);
+  Base.addCopy(Q, P);
+  Base.addLoad(R, Q);
+  Base.addAddressOf(S, C);
+  Base.addStore(P, S);
+  Snapshot Snap = makeSnapshot(Base);
+  const std::vector<Constraint> Delta = {
+      Constraint(ConstraintKind::AddressOf, P, X)};
+  ConstraintSystem FullCS = fullSystem(Snap, Delta);
+  std::vector<NodeId> Seeds = Snap.SeedReps;
+  PointsToSolution Cold = solve(FullCS, SolverKind::LCDHCD, PtsRepr::Bitmap,
+                                nullptr, SolverOptions(), &Seeds);
+
+  IncrementalSolver Inc(std::move(Snap));
+  WarmStartResult W = Inc.resolve(Delta);
+  ASSERT_EQ(W.Outcome, SolveOutcome::Precise) << W.St.toString();
+  EXPECT_TRUE(W.Solution.pointsToObj(Q, X));
+  EXPECT_TRUE(W.Solution.pointsToObj(R, A)) << "loads through x";
+  EXPECT_TRUE(W.Solution.pointsToObj(X, C)) << "stores through x";
+  EXPECT_TRUE(W.Solution == Cold);
+}
+
 TEST(IncrementalSolver, ResolveSystemAdoptsExtendedNodeTable) {
   ConstraintSystem Base;
   NodeId F = Base.addFunction("f", 2);

@@ -7,7 +7,9 @@
 /// \file
 /// Typed tests run against both points-to set policies: the two
 /// representations must behave identically as sets (invariant 5 of
-/// DESIGN.md), so every test here is representation-generic.
+/// DESIGN.md), so every typed test is representation-generic. The
+/// bitmap-specific tests pin the dense object index: sets store indices
+/// but report original node ids.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,15 +19,36 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
 
 using namespace ag;
 
 namespace {
 
+/// A system of \p NumNodes nodes whose only objects are \p Objects.
+ConstraintSystem sparseObjects(uint32_t NumNodes,
+                               const std::vector<NodeId> &Objects) {
+  ConstraintSystem CS;
+  for (uint32_t I = 0; I != NumNodes; ++I)
+    CS.addNode();
+  for (NodeId O : Objects)
+    CS.addAddressOf(1, O);
+  return CS;
+}
+
+/// A system of \p N nodes in which every node is an object, so a set may
+/// hold any id below \p N.
+ConstraintSystem allObjects(uint32_t N) {
+  std::vector<NodeId> All(N);
+  std::iota(All.begin(), All.end(), 0);
+  return sparseObjects(N, All);
+}
+
 template <typename Policy> class PtsSetTyped : public testing::Test {
 protected:
-  PtsSetTyped() : Ctx(4096) {}
+  PtsSetTyped() : CS(allObjects(4096)), Ctx(CS) {}
+  ConstraintSystem CS;
   typename Policy::Context Ctx;
 };
 
@@ -167,13 +190,91 @@ TYPED_TEST(PtsSetTyped, RandomizedAgainstStdSet) {
 TEST(BddPtsSpecific, EqualityIsPointerEquality) {
   // The property LCD exploits: with hash-consing, two equal sets share a
   // node, so the equality check is O(1) — build the same set two ways.
-  BddPtsPolicy::Context Ctx(1024);
+  BddPtsPolicy::Context Ctx(allObjects(1024));
   BddPtsPolicy::Set A, B;
   for (NodeId V : {5u, 10u, 15u})
     A.insert(Ctx, V);
   for (NodeId V : {15u, 5u, 10u})
     B.insert(Ctx, V);
   EXPECT_TRUE(A.equals(Ctx, B));
+}
+
+std::vector<NodeId> elementsOf(const BitmapPtsPolicy::Context &Ctx,
+                               const BitmapPtsPolicy::Set &S) {
+  std::vector<NodeId> Out;
+  S.forEach(Ctx, [&](NodeId V) { Out.push_back(V); });
+  return Out;
+}
+
+TEST(BitmapDenseIndex, SparseObjectsReportOriginalIds) {
+  const std::vector<NodeId> Objects = {5, 700, 9000};
+  ConstraintSystem CS = sparseObjects(9001, Objects);
+  BitmapPtsPolicy::Context Ctx(CS);
+
+  BitmapPtsPolicy::Set S;
+  EXPECT_TRUE(S.insert(Ctx, 9000));
+  EXPECT_TRUE(S.insert(Ctx, 5));
+  EXPECT_TRUE(S.insert(Ctx, 700));
+  EXPECT_FALSE(S.insert(Ctx, 700));
+  EXPECT_EQ(S.size(Ctx), 3u);
+  EXPECT_EQ(elementsOf(Ctx, S), Objects);
+  for (NodeId V = 0; V != CS.numNodes(); ++V)
+    EXPECT_EQ(S.contains(Ctx, V), V == 5 || V == 700 || V == 9000) << V;
+  EXPECT_FALSE(S.contains(Ctx, 1u << 20)) << "beyond the node table";
+
+  SparseBitVector Bits;
+  S.toBitmap(Ctx, Bits);
+  EXPECT_EQ(std::vector<NodeId>(Bits.begin(), Bits.end()), Objects);
+
+  BitmapPtsPolicy::Set Exclude;
+  Exclude.insert(Ctx, 700);
+  std::vector<NodeId> Seen;
+  S.forEachDiff(Ctx, Exclude, [&](NodeId V) { Seen.push_back(V); });
+  EXPECT_EQ(Seen, (std::vector<NodeId>{5, 9000}));
+
+  BitmapPtsPolicy::Set Into;
+  Into.insert(Ctx, 5);
+  Seen.clear();
+  EXPECT_TRUE(Into.unionWithVisitNew(Ctx, S,
+                                     [&](NodeId V) { Seen.push_back(V); }));
+  EXPECT_EQ(Seen, (std::vector<NodeId>{700, 9000}));
+  EXPECT_TRUE(Into.equals(Ctx, S));
+}
+
+TEST(BitmapDenseIndex, ObjectsPackIntoFewElements) {
+  // K objects 128 ids apart: a node-id bitmap needs one element each, the
+  // dense index ceil(K/128) in all.
+  constexpr uint32_t K = 300;
+  std::vector<NodeId> Objects;
+  for (uint32_t I = 0; I != K; ++I)
+    Objects.push_back(2 + 128 * I);
+  ConstraintSystem CS = sparseObjects(Objects.back() + 1, Objects);
+  BitmapPtsPolicy::Context Ctx(CS);
+  BitmapPtsPolicy::Set S;
+  for (NodeId O : Objects)
+    S.insert(Ctx, O);
+  EXPECT_EQ(S.memoryBytes(),
+            ((K + 127) / 128) * SparseBitVector::elementBytes());
+  EXPECT_EQ(elementsOf(Ctx, S), Objects);
+}
+
+TEST(BitmapDenseIndex, NonObjectInsertAppendsAnIndex) {
+  // A warm-start delta may take the address of a node that was not an
+  // object; it takes the next index and round-trips like any object.
+  ConstraintSystem CS = sparseObjects(1000, {5, 700});
+  BitmapPtsPolicy::Context Ctx(CS);
+  BitmapPtsPolicy::Set S;
+  S.insert(Ctx, 700);
+  EXPECT_FALSE(S.contains(Ctx, 300));
+  EXPECT_TRUE(S.insert(Ctx, 300));
+  EXPECT_TRUE(S.insert(Ctx, 5000)) << "beyond the node table";
+  EXPECT_TRUE(S.contains(Ctx, 300));
+  EXPECT_TRUE(S.contains(Ctx, 5000));
+  EXPECT_FALSE(S.contains(Ctx, 5));
+  SparseBitVector Bits;
+  S.toBitmap(Ctx, Bits);
+  EXPECT_EQ(std::vector<NodeId>(Bits.begin(), Bits.end()),
+            (std::vector<NodeId>{300, 700, 5000}));
 }
 
 } // namespace
