@@ -46,11 +46,13 @@
 /// writes a new crash-safe generation (gen-N.snap, --keep <n> retained)
 /// and serve recovers the newest valid generation from such a directory.
 /// serve exits 0 on EOF or `quit`, 1 if the snapshot cannot be loaded;
-/// its REPL is hardened (bounded lines, structured errors) and takes
-/// --max-queue/--deadline-ms for load-shedding plus the budget flags
-/// above as the per-`resolve` budget (retried with backoff, see
-/// --attempts/--backoff). --inject-fault <site>:<n> arms a FaultInjector
-/// site for crash/fault drills on any command.
+/// its stdin REPL is synchronous and hardened (bounded lines, structured
+/// errors) and takes the budget flags above as the per-`resolve` budget
+/// (retried with backoff, see --attempts/--backoff). Load-shedding
+/// (--max-queue/--deadline-ms) belongs to the networked server only and
+/// is a usage error without --port/--unix-socket. --inject-fault
+/// <site>:<n> arms a FaultInjector site for crash/fault drills on any
+/// command.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -135,15 +137,16 @@ int usage() {
                "full solve)\n"
                "       ptatool snapshot <file.cons> <out.snap|dir> [algo] "
                "[budget flags] [--keep <n>]\n"
-               "       ptatool serve <file.snap|dir> [--max-queue <n>] "
-               "[--deadline-ms <n>]\n"
-               "               [--attempts <n>] [--backoff <f>] "
-               "[budget flags]\n"
+               "       ptatool serve <file.snap|dir> [--attempts <n>] "
+               "[--backoff <f>] [budget flags]\n"
                "               [--events-out=<file>] [--metrics-port <n>] "
                "[--slow-ms <n>]\n"
                "               [--port <n> | --unix-socket <path>] "
                "[--max-conns <n>]\n"
-               "               [--idle-timeout-ms <n>]\n"
+               "               [--idle-timeout-ms <n>] [--max-queue <n>] "
+               "[--deadline-ms <n>]\n"
+               "               (--max-queue/--deadline-ms need "
+               "--port/--unix-socket)\n"
                "               (--metrics-port/--port 0 picks an ephemeral "
                "port; the bound\n"
                "                endpoint is printed to stderr; without "
@@ -320,8 +323,8 @@ struct SolveFlags {
   uint64_t MetricsIntervalMs = 0;
   /// snapshot --keep: generations retained when writing to a directory.
   uint64_t KeepGenerations = 3;
-  /// serve --max-queue / --deadline-ms: admission queue bound (0 =
-  /// synchronous) and per-request deadline.
+  /// serve --max-queue / --deadline-ms: the networked server's admission
+  /// queue bound (0 = unbounded) and per-request queue-wait deadline.
   uint64_t MaxQueue = 0;
   uint64_t DeadlineMs = 0;
   /// serve --attempts / --backoff: resolve retry schedule.
@@ -877,6 +880,12 @@ int cmdServe(int Argc, char **Argv) {
     return usage();
   }
   const bool Networked = F.ServePortSet || !F.ServeUnixSocket.empty();
+  if (!Networked && (F.MaxQueue != 0 || F.DeadlineMs != 0)) {
+    // The stdin REPL is synchronous: only the server queues requests.
+    std::fprintf(stderr, "error: --max-queue/--deadline-ms need --port or "
+                         "--unix-socket\n");
+    return usage();
+  }
   // A serving process always collects metrics (the `stats` command reads
   // them) and keeps the flight ring; full tracing stays off.
   obs::setMetricsEnabled(true);
@@ -911,12 +920,6 @@ int cmdServe(int Argc, char **Argv) {
   }
 
   ServeOptions SO;
-  // Networked mode moves admission control into the Server (its global
-  // queue and per-connection deadlines carry the same semantics); the
-  // session itself must then run synchronously.
-  SO.QueueCapacity = Networked ? 0 : static_cast<size_t>(F.MaxQueue);
-  SO.DeadlineSeconds =
-      Networked ? 0 : static_cast<double>(F.DeadlineMs) / 1000.0;
   SO.ResolveBudget = F.Budget;
   SO.ResolveOpts = F.Opts;
   SO.ResolveAttempts = static_cast<unsigned>(F.ResolveAttempts);

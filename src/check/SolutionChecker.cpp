@@ -14,8 +14,14 @@ namespace {
 
 /// Two-pointer subset probe over ascending element streams. On failure
 /// \p MissingOut names the first element of \p Small absent from \p Big.
+/// Extracted solutions hash-cons their sets, so most load/store checks
+/// compare a set with itself; only that identity is short-cut, every
+/// other pair is walked element by element, independent of the bitmap
+/// kernels the solvers use.
 bool isSubset(const SparseBitVector &Small, const SparseBitVector &Big,
               uint32_t &MissingOut) {
+  if (&Small == &Big)
+    return true;
   auto BI = Big.begin(), BE = Big.end();
   for (uint32_t V : Small) {
     while (BI != BE && *BI < V)

@@ -15,9 +15,7 @@
 
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdlib>
-#include <deque>
 #include <istream>
 #include <mutex>
 #include <ostream>
@@ -462,6 +460,11 @@ void ServeSession::noteOversizedLine() {
   C.OversizedLines.fetch_add(1, std::memory_order_relaxed);
 }
 
+std::string ServeSession::oversizedLineReply() const {
+  return "error: line too long (max " + std::to_string(Opts.MaxLineBytes) +
+         " bytes)\n";
+}
+
 std::string ServeSession::bannerText() const {
   StatePtr St = state();
   const ConstraintSystem &CS = systemOf(*St);
@@ -697,9 +700,6 @@ int ServeSession::run(std::istream &In, std::ostream &Out) {
   Out << bannerText();
   Out.flush();
 
-  if (Opts.QueueCapacity > 0)
-    return runQueued(In, Out);
-
   std::string Line;
   for (;;) {
     LineStatus LS = readLineBounded(In, Line, Opts.MaxLineBytes);
@@ -707,129 +707,10 @@ int ServeSession::run(std::istream &In, std::ostream &Out) {
       return 0;
     if (LS == LineStatus::TooLong) {
       noteOversizedLine();
-      Out << "error: line too long (max " << Opts.MaxLineBytes << " bytes)\n";
+      Out << oversizedLineReply();
       continue;
     }
     if (!handleLine(Line, Out))
       return 0;
   }
-}
-
-int ServeSession::runQueued(std::istream &In, std::ostream &Out) {
-  using Clock = std::chrono::steady_clock;
-  struct Request {
-    std::string Line;
-    Clock::time_point Enqueued;
-  };
-
-  std::mutex QMu;
-  std::condition_variable QCv;
-  std::deque<Request> Queue;
-  bool InputDone = false;
-  bool Quit = false;
-
-  // Replies are written whole under one lock so worker replies and
-  // reader-side shed errors never interleave mid-line.
-  std::mutex OutMu;
-  auto Reply = [&](const std::string &Text) {
-    std::lock_guard<std::mutex> Lock(OutMu);
-    Out << Text;
-    Out.flush();
-  };
-
-  std::thread Worker([&] {
-    for (;;) {
-      Request Req;
-      bool Draining = false;
-      {
-        std::unique_lock<std::mutex> Lock(QMu);
-        QCv.wait(Lock, [&] { return !Queue.empty() || InputDone; });
-        if (Queue.empty())
-          return; // Input done and fully drained.
-        Req = std::move(Queue.front());
-        Queue.pop_front();
-        Draining = Quit;
-      }
-      if (Draining) {
-        // Admitted after quit: still gets exactly one (structured) reply.
-        std::string Text = "ERR shutdown: session closing\n";
-        Reply(Text);
-        noteDroppedRequest(DropKind::Shutdown, Req.Line, Text,
-                           /*WaitedNanos=*/0);
-        continue;
-      }
-      if (Opts.DeadlineSeconds > 0) {
-        auto WaitedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            Clock::now() - Req.Enqueued)
-                            .count();
-        auto LimitMs =
-            static_cast<long long>(Opts.DeadlineSeconds * 1000.0);
-        if (WaitedMs > LimitMs) {
-          obs::flight("serve_deadline_drop",
-                      static_cast<uint64_t>(WaitedMs));
-          std::ostringstream Oss;
-          Oss << "ERR deadline: waited " << WaitedMs << " ms (limit "
-              << LimitMs << " ms)\n";
-          std::string Text = Oss.str();
-          Reply(Text);
-          noteDroppedRequest(DropKind::Deadline, Req.Line, Text,
-                             uint64_t(WaitedMs) * 1000000ull);
-          continue;
-        }
-      }
-      std::ostringstream Oss;
-      bool Continue = handleLine(Req.Line, Oss);
-      Reply(Oss.str());
-      if (!Continue) {
-        std::lock_guard<std::mutex> Lock(QMu);
-        Quit = true;
-      }
-    }
-  });
-
-  std::string Line;
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> Lock(QMu);
-      if (Quit)
-        break;
-    }
-    LineStatus LS = readLineBounded(In, Line, Opts.MaxLineBytes);
-    if (LS == LineStatus::Eof)
-      break;
-    if (LS == LineStatus::TooLong) {
-      noteOversizedLine();
-      std::ostringstream Oss;
-      Oss << "error: line too long (max " << Opts.MaxLineBytes << " bytes)\n";
-      Reply(Oss.str());
-      continue;
-    }
-    std::unique_lock<std::mutex> Lock(QMu);
-    if (Quit)
-      break;
-    if (Queue.size() >= Opts.QueueCapacity) {
-      size_t Pending = Queue.size();
-      Lock.unlock();
-      obs::flight("serve_overload_shed", Pending);
-      std::ostringstream Oss;
-      Oss << "ERR overloaded: queue full (" << Pending << " pending)\n";
-      std::string Text = Oss.str();
-      Reply(Text);
-      noteDroppedRequest(DropKind::Overloaded, Line, Text, /*WaitedNanos=*/0);
-      continue;
-    }
-    noteAdmitted();
-    Queue.push_back(Request{std::move(Line), Clock::now()});
-    Line = std::string();
-    Lock.unlock();
-    QCv.notify_one();
-  }
-
-  {
-    std::lock_guard<std::mutex> Lock(QMu);
-    InputDone = true;
-  }
-  QCv.notify_all();
-  Worker.join();
-  return 0;
 }

@@ -13,12 +13,10 @@
 ///    processes the partial line and ends the session cleanly; garbage
 ///    and unknown commands get structured errors and the session stays
 ///    alive. No input can assert, hang, or grow memory unboundedly.
-///  * Overload control — with QueueCapacity > 0, a bounded admission
-///    queue decouples the reading thread from a worker executing
-///    requests. A full queue sheds load with `ERR overloaded`; a request
-///    that waited past DeadlineSeconds is dropped with `ERR deadline`
-///    before any work is done for it. Every admitted request gets exactly
-///    one reply, in admission order.
+///  * Synchronous — run() executes each line on the caller's thread
+///    before reading the next. Admission control (a bounded queue that
+///    sheds with `ERR overloaded`, a queue-wait deadline answered with
+///    `ERR deadline`) lives in the Server front-end only (Server.h).
 ///  * Warm-start resolve with retry-with-backoff — the `resolve` command
 ///    re-solves with the delta under the configured budget, retrying with
 ///    a geometrically growing budget (fallback disallowed) before the
@@ -41,11 +39,6 @@
 /// MutateMu and publish it with one pointer swap, so readers never
 /// observe a half-built engine and never wait on a re-solve in
 /// progress (the swap itself is a nanosecond StateMu critical section).
-///
-/// Queue-mode output interleaving: replies are written atomically (one
-/// lock per reply), reader-side errors (`ERR overloaded`, line-too-long)
-/// may interleave *between* worker replies — clients match replies to
-/// requests by content, as the existing tests do.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -71,22 +64,12 @@
 
 namespace ag {
 
-/// Serving-session tuning. Defaults reproduce the original synchronous
-/// REPL (no queue, no deadline) with bounded lines.
+/// Serving-session tuning. Admission control (queue bound, deadline) is
+/// the Server's (ServerOptions); the session itself never queues.
 struct ServeOptions {
   /// Longest accepted request line; longer lines are drained and answered
   /// with an error (the session continues).
   size_t MaxLineBytes = 1 << 16;
-
-  /// Admission-queue capacity. 0 runs synchronously on the caller's
-  /// thread; > 0 starts one worker thread and sheds load when the queue
-  /// is full.
-  size_t QueueCapacity = 0;
-
-  /// Per-request deadline (seconds spent waiting in the admission queue);
-  /// expired requests are answered with `ERR deadline` instead of being
-  /// executed. 0 disables. Only meaningful with QueueCapacity > 0.
-  double DeadlineSeconds = 0;
 
   /// Base budget for one `resolve` attempt (scaled by ResolveBackoff on
   /// each retry). AllowFallback applies to the *final* attempt only;
@@ -112,8 +95,8 @@ struct ServeOptions {
   /// Demand mode only: solver kind for the escalation solve.
   SolverKind EscalationKind = SolverKind::LCDHCD;
 
-  /// Wide-event sink: when set, every executed request (and every shed or
-  /// deadline-dropped one in queue mode) publishes one "ag.events.v1"
+  /// Wide-event sink: when set, every executed request (and every one a
+  /// Server sheds or deadline-drops) publishes one "ag.events.v1"
   /// JSON line. Shared so the owner can outlive the session and flush.
   std::shared_ptr<obs::EventLog> Events;
 
@@ -131,8 +114,8 @@ struct ServeOptions {
 /// Monotonic per-session counters (exposed via the `stats` command).
 struct ServeCounters {
   uint64_t Requests = 0;        ///< Requests executed (any outcome).
-  uint64_t Admitted = 0;        ///< Requests accepted into the queue.
-  uint64_t Shed = 0;            ///< Requests rejected: queue full.
+  uint64_t Admitted = 0;        ///< Requests admitted by the Server.
+  uint64_t Shed = 0;            ///< Requests rejected: Server queue full.
   uint64_t DeadlineDropped = 0; ///< Requests dropped: waited too long.
   uint64_t OversizedLines = 0;  ///< Lines over MaxLineBytes.
   uint64_t ResolveRetries = 0;  ///< Resolve attempts that tripped and retried.
@@ -163,7 +146,7 @@ public:
   /// no request can kill a running session).
   int run(std::istream &In, std::ostream &Out);
 
-  /// Executes one request line (test entry; also the worker's core).
+  /// Executes one request line (test entry; also the Server worker's core).
   /// Safe to call from any number of threads concurrently — the request
   /// runs on the serve state loaded at entry. \p ConnId tags the request's
   /// telemetry (wide events) with the originating connection; 0 = the
@@ -188,17 +171,20 @@ public:
     Shutdown,   ///< Admitted while the session/connection was closing.
   };
 
-  /// Reader-side accounting for front-ends that own their own line reader
-  /// and admission queue (the TCP Server): a request answered without
-  /// being executed still counts and still publishes one wide event with
-  /// the drop status, exactly like the built-in queue mode.
+  /// Reader-side accounting for the front-end that owns the line reader
+  /// and admission queue (the Server): a request answered without being
+  /// executed still counts and still publishes one wide event with the
+  /// drop status.
   void noteDroppedRequest(DropKind K, const std::string &Line,
                           const std::string &Reply, uint64_t WaitedNanos,
                           uint64_t ConnId = 0);
-  /// Counts one admitted request (front-end queues).
+  /// Counts one request the Server admitted.
   void noteAdmitted();
   /// Counts one over-long line consumed by a front-end reader.
   void noteOversizedLine();
+  /// The reply to a line over MaxLineBytes; run() and the Server's
+  /// readers send the same bytes.
+  std::string oversizedLineReply() const;
 
   ServeCounters counters() const;
 
@@ -241,7 +227,6 @@ private:
   void cmdCheck(StatePtr &St, std::ostream &Out);
   void cmdResolve(const std::string &Path, std::ostream &Out);
   void cmdStats(const ServeState &St, std::ostream &Out, bool Json);
-  int runQueued(std::istream &In, std::ostream &Out);
 
   /// Maps a REPL command to its latency/event class.
   static obs::CommandClass classifyCommand(const std::string &Cmd);

@@ -37,6 +37,9 @@ bool setNonBlocking(int Fd) {
   return Flags >= 0 && ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
 }
 
+/// The answer to a line admitted behind an executed `quit`.
+constexpr const char *ShutdownReply = "ERR shutdown: session closing\n";
+
 } // namespace
 
 /// Per-client state. Field ownership is split three ways and each group is
@@ -392,12 +395,7 @@ void Server::readConnection(const std::shared_ptr<Connection> &Conn) {
     // stdin REPL treats input that ends without a newline.
     Conn->PeerClosed = true;
     if (Conn->Discarding) {
-      Conn->Discarding = false;
-      Session.noteOversizedLine();
-      queueReply(Conn,
-                 "error: line too long (max " +
-                     std::to_string(Session.options().MaxLineBytes) +
-                     " bytes)\n");
+      rejectOversizedLine(Conn);
     } else if (!Conn->InBuf.empty()) {
       std::string Line;
       Line.swap(Conn->InBuf);
@@ -414,12 +412,8 @@ void Server::ingestBytes(const std::shared_ptr<Connection> &Conn,
     char Ch = Data[I];
     if (Ch == '\n') {
       if (Conn->Discarding) {
-        // The oversized line ends here; one structured error per line,
-        // identical to the REPL's bounded reader.
-        Conn->Discarding = false;
-        Session.noteOversizedLine();
-        queueReply(Conn, "error: line too long (max " + std::to_string(Max) +
-                             " bytes)\n");
+        // The oversized line ends here; one structured error per line.
+        rejectOversizedLine(Conn);
       } else {
         std::string Line;
         Line.swap(Conn->InBuf);
@@ -442,47 +436,44 @@ void Server::admitLine(const std::shared_ptr<Connection> &Conn,
                        std::string Line) {
   ServeSession::DropKind Kind = ServeSession::DropKind::Overloaded;
   std::string Reply;
-  size_t Backlog = 0;
   {
     std::lock_guard<std::mutex> Lock(QMu);
+    // A free connection's line joins the global queue; a busy one's waits
+    // in its own pending deque. Each is bounded by QueueCapacity.
+    const bool Free = !Conn->Busy && Conn->Pending.empty();
+    const size_t Backlog = Free ? Queue.size() : Conn->Pending.size();
     if (Conn->CloseAfterReply.load(std::memory_order_relaxed)) {
-      // Lines pipelined behind a `quit` get the same answer the REPL's
-      // queue gives requests admitted after shutdown began.
+      // Lines pipelined behind a `quit` are answered, never executed.
       Kind = ServeSession::DropKind::Shutdown;
-      Reply = "ERR shutdown: session closing\n";
-    } else if (Conn->Busy || !Conn->Pending.empty()) {
-      if (Opts.QueueCapacity != 0 &&
-          Conn->Pending.size() >= Opts.QueueCapacity) {
-        Backlog = Conn->Pending.size();
-        Reply = "ERR overloaded: queue full (" + std::to_string(Backlog) +
-                " pending)\n";
-      } else {
-        Session.noteAdmitted();
+      Reply = ShutdownReply;
+    } else if (Opts.QueueCapacity != 0 && Backlog >= Opts.QueueCapacity) {
+      obs::flight("serve_overload_shed", Backlog);
+      Reply = "ERR overloaded: queue full (" + std::to_string(Backlog) +
+              " pending)\n";
+    } else {
+      Session.noteAdmitted();
+      if (!Free) {
         Conn->Pending.push_back({std::move(Line), Clock::now(), false});
         return;
       }
-    } else {
-      if (Opts.QueueCapacity != 0 && Queue.size() >= Opts.QueueCapacity) {
-        Backlog = Queue.size();
-        Reply = "ERR overloaded: queue full (" + std::to_string(Backlog) +
-                " pending)\n";
-      } else {
-        Session.noteAdmitted();
-        Conn->Busy = true;
-        Queue.push_back(Task{Conn, std::move(Line), Clock::now()});
-        QCv.notify_one();
-        return;
-      }
+      Conn->Busy = true;
+      Queue.push_back(Task{Conn, std::move(Line), Clock::now()});
+      QCv.notify_one();
+      return;
     }
   }
   // Shed/shutdown path: the drop is recorded here, but the reply bytes
   // are handed to a worker — a blocking send from the poll thread would
   // stall admission for everyone else, and the client that earned this
   // reply is exactly the kind that may have stopped reading.
-  if (Kind == ServeSession::DropKind::Overloaded)
-    obs::flight("serve_overload_shed", Backlog);
   Session.noteDroppedRequest(Kind, Line, Reply, /*WaitedNanos=*/0, Conn->Id);
   queueReply(Conn, std::move(Reply));
+}
+
+void Server::rejectOversizedLine(const std::shared_ptr<Connection> &Conn) {
+  Conn->Discarding = false;
+  Session.noteOversizedLine();
+  queueReply(Conn, Session.oversizedLineReply());
 }
 
 void Server::queueReply(const std::shared_ptr<Connection> &Conn,
@@ -604,9 +595,8 @@ void Server::workerLoop() {
         // shed error); the drop telemetry was recorded at admit time.
         Replies += T.Line;
       } else if (T.Conn->CloseAfterReply.load(std::memory_order_acquire)) {
-        // Lines pipelined behind a `quit` get the same answer the REPL's
-        // queue gives requests admitted after shutdown began.
-        std::string Reply = "ERR shutdown: session closing\n";
+        // Lines pipelined behind a `quit` are answered, never executed.
+        std::string Reply = ShutdownReply;
         Replies += Reply;
         Session.noteDroppedRequest(ServeSession::DropKind::Shutdown, T.Line,
                                    Reply, /*WaitedNanos=*/0, T.Conn->Id);

@@ -24,10 +24,12 @@
 ///    deque and are promoted when the previous reply is on the wire, so a
 ///    client's transcript is byte-identical to the serial REPL's.
 ///  * Every executed request runs under the session's RequestScope with
-///    the connection id stamped into its wide event; shedding (`ERR
-///    overloaded`), queue-wait deadlines (`ERR deadline`) and the serve.*
-///    metrics behave exactly as the REPL's queue mode, and connections
-///    gain their own accepted/active/rejected/idle-closed telemetry.
+///    the connection id stamped into its wide event. The server is the
+///    only admission queue: shedding (`ERR overloaded`) and queue-wait
+///    deadlines (`ERR deadline`) happen here, never in the session, and
+///    each drop still counts in the session's serve.* metrics and wide
+///    events. Connections have their own accepted/active/rejected/
+///    idle-closed telemetry.
 ///  * All clients share the session's RCU serve-state epoch: a `resolve`
 ///    on one connection builds the successor off-path and swaps it in
 ///    atomically while queries on other connections finish on the epoch
@@ -89,11 +91,13 @@ struct ServerOptions {
 
   /// Bound on the global admission queue and on each connection's pending
   /// deque; a full one sheds with `ERR overloaded: queue full`. 0 =
-  /// unbounded (no shedding, no deadline drops).
+  /// unbounded (no shedding).
   size_t QueueCapacity = 0;
 
-  /// Per-request queue-wait deadline, as in ServeOptions::DeadlineSeconds.
-  /// 0 disables. Only meaningful with QueueCapacity > 0.
+  /// Per-request queue-wait deadline in seconds: a line that waited longer
+  /// than this between admission and execution is answered with `ERR
+  /// deadline` instead of being executed. 0 disables. Independent of
+  /// QueueCapacity: an unbounded queue still drops on the deadline.
   double DeadlineSeconds = 0;
 
   /// A reply send stalled longer than this (client not reading) drops the
@@ -116,8 +120,7 @@ struct ServerCounters {
 class Server {
 public:
   /// \p Session must outlive the server. The session is used re-entrantly
-  /// from the worker pool; its own queue mode must be off (the server is
-  /// the queue).
+  /// from the worker pool.
   Server(ServeSession &Session, ServerOptions Opts);
   ~Server();
 
@@ -169,6 +172,9 @@ private:
   /// its pending deque otherwise; sheds (with the reply handed to a
   /// worker via queueReply) when either is full.
   void admitLine(const std::shared_ptr<Connection> &Conn, std::string Line);
+  /// Ends a discarded over-long line: counts it and queues the session's
+  /// line-too-long reply.
+  void rejectOversizedLine(const std::shared_ptr<Connection> &Conn);
   /// Poll-thread reply path: enqueues a pre-rendered reply (banner,
   /// oversized-line error, shed/shutdown error) through the connection's
   /// ordinary pipeline so a worker sends it. The poll thread itself never

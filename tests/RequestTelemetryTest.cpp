@@ -9,19 +9,19 @@
 /// request emits exactly one well-formed "ag.events.v1" line with a unique
 /// trace id, tier attribution reflects how the answer was produced
 /// (cache_hit flips on a repeated query), `stats json` returns the
-/// ag.metrics.v8 document, and a deadline-dropped request's wide event is
-/// correlated — by trace id — with its slow-query log entry, which also
-/// carries a FlightRecorder ring snapshot.
+/// ag.metrics.v8 document, and the wide event of a request a Server drops
+/// on its queue-wait deadline is correlated — by trace id — with its
+/// slow-query log entry, which also carries a FlightRecorder ring snapshot.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "serve/ServeSession.h"
 
-#include "constraints/OfflineVariableSubstitution.h"
 #include "obs/EventLog.h"
 #include "obs/MetricsRegistry.h"
 #include "obs/Obs.h"
-#include "solvers/Solve.h"
+
+#include "ServeTestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -32,26 +32,10 @@
 #include <vector>
 
 using namespace ag;
+using ag::test::makeSnapshot;
+using ag::test::tinySystem;
 
 namespace {
-
-Snapshot makeSnapshot(const ConstraintSystem &CS) {
-  OvsResult Ovs = runOfflineVariableSubstitution(CS);
-  Snapshot Snap;
-  Snap.Solution = solve(Ovs.Reduced, SolverKind::LCDHCD, PtsRepr::Bitmap,
-                        nullptr, SolverOptions(), &Ovs.Rep);
-  Snap.CS = std::move(Ovs.Reduced);
-  Snap.SeedReps = std::move(Ovs.Rep);
-  return Snap;
-}
-
-ConstraintSystem tinySystem() {
-  ConstraintSystem CS;
-  NodeId P = CS.addNode("p"), O = CS.addNode("o"), Q = CS.addNode("q");
-  CS.addAddressOf(P, O);
-  CS.addCopy(Q, P);
-  return CS;
-}
 
 std::vector<std::string> lines(const std::string &Text) {
   std::vector<std::string> Out;
@@ -149,13 +133,12 @@ TEST(RequestTelemetry, DeadlineDropEventCorrelatesWithSlowQueryLog) {
   ServeOptions Opts;
   Opts.Events = Events;
   Opts.SlowOut = &SlowSink;
-  Opts.QueueCapacity = 8;
-  Opts.DeadlineSeconds = 0.05;
+  ServerOptions SrvOpts;
+  SrvOpts.QueueCapacity = 8;
+  SrvOpts.DeadlineSeconds = 0.05;
   {
     ServeSession S(makeSnapshot(tinySystem()), Opts);
-    std::istringstream In("sleep 200\npts p\nquit\n");
-    std::ostringstream Out;
-    EXPECT_EQ(S.run(In, Out), 0);
+    ag::test::serveScript(S, SrvOpts, "sleep 200\npts p\nquit\n");
     EXPECT_GE(S.counters().DeadlineDropped, 1u);
   }
   Events->drain();

@@ -6,11 +6,12 @@
 ///
 /// \file
 /// ServeSession robustness: bounded line reading (oversized lines, EOF
-/// mid-line, binary garbage), structured overload and deadline shedding
-/// with the admission queue, retry-with-backoff warm-start resolve
+/// mid-line, binary garbage), retry-with-backoff warm-start resolve
 /// degrading to a served sound fallback, the in-REPL `check` self-check,
 /// per-request fault injection, and `ptatool serve` end to end from a
-/// generation directory.
+/// generation directory. Shedding and deadlines belong to the Server and
+/// are tested in ServerTest.cpp; here only the stdin REPL's refusal of
+/// --max-queue is.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +20,11 @@
 #include "adt/FaultInjector.h"
 #include "adt/Rng.h"
 #include "check/SolutionChecker.h"
-#include "constraints/OfflineVariableSubstitution.h"
 #include "serve/SnapshotStore.h"
 #include "solvers/Solve.h"
 #include "workload/WorkloadGen.h"
+
+#include "ServeTestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -34,34 +36,11 @@
 #include <vector>
 
 using namespace ag;
+using ag::test::countOccurrences;
+using ag::test::makeSnapshot;
+using ag::test::tinySystem;
 
 namespace {
-
-Snapshot makeSnapshot(const ConstraintSystem &CS) {
-  OvsResult Ovs = runOfflineVariableSubstitution(CS);
-  Snapshot Snap;
-  Snap.Solution = solve(Ovs.Reduced, SolverKind::LCDHCD, PtsRepr::Bitmap,
-                        nullptr, SolverOptions(), &Ovs.Rep);
-  Snap.CS = std::move(Ovs.Reduced);
-  Snap.SeedReps = std::move(Ovs.Rep);
-  return Snap;
-}
-
-ConstraintSystem tinySystem() {
-  ConstraintSystem CS;
-  NodeId P = CS.addNode("p"), O = CS.addNode("o"), Q = CS.addNode("q");
-  CS.addAddressOf(P, O);
-  CS.addCopy(Q, P);
-  return CS;
-}
-
-size_t countOccurrences(const std::string &Hay, const std::string &Needle) {
-  size_t N = 0;
-  for (size_t Pos = Hay.find(Needle); Pos != std::string::npos;
-       Pos = Hay.find(Needle, Pos + Needle.size()))
-    ++N;
-  return N;
-}
 
 TEST(ServeSession, EofMidLineProcessesPartialLineAndExitsZero) {
   ServeSession S(makeSnapshot(tinySystem()));
@@ -125,44 +104,6 @@ TEST(ServeSession, UnknownAndMalformedCommandsKeepSessionAlive) {
   EXPECT_NE(Text.find("error: resolve expects one constraint file"),
             std::string::npos);
   EXPECT_NE(Text.find("pts(p): 1\n"), std::string::npos);
-}
-
-TEST(ServeSession, QueueOverloadShedsWithStructuredErrors) {
-  ServeOptions Opts;
-  Opts.QueueCapacity = 1;
-  ServeSession S(makeSnapshot(tinySystem()), Opts);
-  // The worker parks on `sleep` while the reader races ahead: with a
-  // one-slot queue most of the pts burst must be shed — with a structured
-  // reply each, never a crash or hang.
-  std::istringstream In("sleep 300\npts p\npts p\npts p\npts p\npts p\n"
-                        "pts p\nquit\n");
-  std::ostringstream Out;
-  EXPECT_EQ(S.run(In, Out), 0);
-
-  ServeCounters C = S.counters();
-  EXPECT_GE(C.Shed, 1u) << "a one-slot queue must shed under this burst";
-  EXPECT_EQ(C.Admitted + C.Shed, 8u)
-      << "every line is either admitted or shed";
-  const std::string Text = Out.str();
-  EXPECT_EQ(countOccurrences(Text, "ERR overloaded: queue full"), C.Shed);
-  // Exactly one reply per line: sheds reply inline, admitted requests
-  // reply from the worker, an executed `quit` replies nothing.
-  size_t Replies = countOccurrences(Text, "\n") - 1; // Minus the banner.
-  EXPECT_TRUE(Replies == 7 || Replies == 8) << Text;
-}
-
-TEST(ServeSession, DeadlineDropsRequestsThatWaitedTooLong) {
-  ServeOptions Opts;
-  Opts.QueueCapacity = 8;
-  Opts.DeadlineSeconds = 0.05;
-  ServeSession S(makeSnapshot(tinySystem()), Opts);
-  std::istringstream In("sleep 200\npts p\nquit\n");
-  std::ostringstream Out;
-  EXPECT_EQ(S.run(In, Out), 0);
-  EXPECT_GE(S.counters().DeadlineDropped, 1u);
-  EXPECT_NE(Out.str().find("ERR deadline: waited"), std::string::npos);
-  EXPECT_NE(Out.str().find("slept 200 ms"), std::string::npos)
-      << "the request that ran promptly must not be dropped";
 }
 
 TEST(ServeSession, InjectedRequestFaultGetsStructuredErrorAndSessionLives) {
@@ -343,12 +284,17 @@ TEST(ServeSessionE2e, OverloadAndFaultFlagsProduceStructuredErrors) {
   ASSERT_EQ(runServePtatool("snapshot " + Cons + " " + Snap + " > /dev/null"),
             0);
 
+  std::string ErrPath = Dir + "serve_flags.err";
   std::ofstream(InPath) << "sleep 200\npts p\npts p\npts p\npts p\nquit\n";
+  // The stdin REPL is synchronous: queue flags without a socket are a
+  // usage error naming the flags that make them meaningful. Shedding over
+  // a socket is ServerE2e.MaxQueueShedsOverUnixSocket.
   ASSERT_EQ(runServePtatool("serve " + Snap + " --max-queue 1 < " + InPath +
-                            " > " + OutPath),
-            0);
-  EXPECT_NE(slurpFile(OutPath).find("ERR overloaded: queue full"),
-            std::string::npos);
+                            " > " + OutPath + " 2> " + ErrPath),
+            2);
+  EXPECT_NE(slurpFile(ErrPath).find("--port or --unix-socket"),
+            std::string::npos)
+      << slurpFile(ErrPath);
 
   ASSERT_EQ(runServePtatool("serve " + Snap +
                             " --inject-fault serve_request:0 < " + InPath +

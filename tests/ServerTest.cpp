@@ -12,31 +12,31 @@
 /// connection, requestStop() drains in-flight requests, idle connections
 /// are reaped, and a `resolve` epoch swap under live query load keeps
 /// every reader on a consistent snapshot (the TSan leg runs this suite).
-/// The E2e test drives `ptatool serve --unix-socket` in a subprocess and
-/// proves SIGTERM exits 0 after a graceful drain.
+/// The server is the only admission queue, so queue-full shedding and
+/// queue-wait deadlines (with and without a queue bound) are tested here.
+/// The E2e tests drive `ptatool serve --unix-socket` in a subprocess: it
+/// sheds under --max-queue, and SIGTERM exits 0 after a graceful drain.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "serve/Server.h"
 
 #include "adt/Rng.h"
-#include "constraints/OfflineVariableSubstitution.h"
 #include "serve/ServeSession.h"
-#include "solvers/Solve.h"
 #include "workload/WorkloadGen.h"
 
+#include "ServeTestUtil.h"
 #include "TestTimeouts.h"
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sstream>
 #include <string>
@@ -47,28 +47,18 @@
 #include <vector>
 
 using namespace ag;
+using ag::test::connectTcp;
+using ag::test::countOccurrences;
+using ag::test::makeSnapshot;
+using ag::test::readToEof;
+using ag::test::runScript;
 using ag::test::scaledMs;
+using ag::test::sendAll;
+using ag::test::serveScript;
+using ag::test::tinySystem;
 using Clock = std::chrono::steady_clock;
 
 namespace {
-
-Snapshot makeSnapshot(const ConstraintSystem &CS) {
-  OvsResult Ovs = runOfflineVariableSubstitution(CS);
-  Snapshot Snap;
-  Snap.Solution = solve(Ovs.Reduced, SolverKind::LCDHCD, PtsRepr::Bitmap,
-                        nullptr, SolverOptions(), &Ovs.Rep);
-  Snap.CS = std::move(Ovs.Reduced);
-  Snap.SeedReps = std::move(Ovs.Rep);
-  return Snap;
-}
-
-ConstraintSystem tinySystem() {
-  ConstraintSystem CS;
-  NodeId P = CS.addNode("p"), O = CS.addNode("o"), Q = CS.addNode("q");
-  CS.addAddressOf(P, O);
-  CS.addCopy(Q, P);
-  return CS;
-}
 
 ConstraintSystem mediumSystem() {
   BenchmarkSpec Spec;
@@ -95,63 +85,6 @@ int connectUnix(const std::string &Path) {
     return -1;
   }
   return Fd;
-}
-
-int connectTcp(uint16_t Port) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return -1;
-  sockaddr_in Addr = {};
-  Addr.sin_family = AF_INET;
-  Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  Addr.sin_port = htons(Port);
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
-      0) {
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
-}
-
-bool sendAll(int Fd, const std::string &Data) {
-  size_t Off = 0;
-  while (Off < Data.size()) {
-    ssize_t N = ::send(Fd, Data.data() + Off, Data.size() - Off,
-                       MSG_NOSIGNAL);
-    if (N > 0) {
-      Off += size_t(N);
-      continue;
-    }
-    if (N < 0 && errno == EINTR)
-      continue;
-    return false;
-  }
-  return true;
-}
-
-/// Reads until EOF or the deadline; a hung server fails the test instead
-/// of hanging it.
-std::string readToEof(int Fd, std::chrono::milliseconds Deadline) {
-  std::string Out;
-  auto End = Clock::now() + Deadline;
-  char Buf[4096];
-  for (;;) {
-    auto Remain = std::chrono::duration_cast<std::chrono::milliseconds>(
-        End - Clock::now());
-    if (Remain.count() <= 0)
-      break;
-    pollfd P = {Fd, POLLIN, 0};
-    int R = ::poll(&P, 1, int(Remain.count()));
-    if (R <= 0 && errno != EINTR)
-      break;
-    if (R <= 0)
-      continue;
-    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
-    if (N <= 0)
-      break;
-    Out.append(Buf, size_t(N));
-  }
-  return Out;
 }
 
 /// Incremental line reader over one socket (keeps the partial tail
@@ -190,14 +123,6 @@ struct LineReader {
     }
   }
 };
-
-/// Writes the whole script, half-closes, reads the full transcript.
-std::string runScript(int Fd, const std::string &Script,
-                      std::chrono::milliseconds Deadline) {
-  EXPECT_TRUE(sendAll(Fd, Script));
-  ::shutdown(Fd, SHUT_WR);
-  return readToEof(Fd, Deadline);
-}
 
 /// A deterministic per-client query mix (read-only commands plus
 /// structured-error lines, so replies are independent of what other
@@ -592,6 +517,57 @@ TEST(Server, ResolveSwapUnderLiveQueryLoadKeepsReadersConsistent) {
             BaseConstraints);
 }
 
+TEST(Server, QueueOverloadShedsWithStructuredErrors) {
+  ServeSession Session(makeSnapshot(tinySystem()));
+  ServerOptions SrvOpts;
+  SrvOpts.QueueCapacity = 1;
+  // The worker parks on `sleep` while the poll thread admits the rest of
+  // the pipelined burst: with a one-slot pending deque most of the pts
+  // lines must be shed — with a structured reply each, never a crash or
+  // hang.
+  std::string Text = serveScript(
+      Session, SrvOpts,
+      "sleep 300\npts p\npts p\npts p\npts p\npts p\npts p\nquit\n");
+
+  ServeCounters C = Session.counters();
+  EXPECT_GE(C.Shed, 1u) << "a one-slot queue must shed under this burst";
+  EXPECT_EQ(C.Admitted + C.Shed, 8u)
+      << "every line is either admitted or shed";
+  EXPECT_EQ(countOccurrences(Text, "ERR overloaded: queue full"), C.Shed);
+  // Exactly one reply per line: sheds and admitted requests reply, an
+  // executed `quit` replies nothing.
+  size_t Replies = countOccurrences(Text, "\n") - 1; // Minus the banner.
+  EXPECT_TRUE(Replies == 7 || Replies == 8) << Text;
+}
+
+TEST(Server, DeadlineDropsRequestsThatWaitedTooLong) {
+  ServeSession Session(makeSnapshot(tinySystem()));
+  ServerOptions SrvOpts;
+  SrvOpts.QueueCapacity = 8;
+  SrvOpts.DeadlineSeconds = 0.05;
+  std::string Text =
+      serveScript(Session, SrvOpts, "sleep 200\npts p\nquit\n");
+  EXPECT_GE(Session.counters().DeadlineDropped, 1u);
+  EXPECT_NE(Text.find("ERR deadline: waited"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("slept 200 ms"), std::string::npos)
+      << "the request that ran promptly must not be dropped";
+}
+
+TEST(Server, DeadlineDropsWithAnUnboundedQueue) {
+  // QueueCapacity = 0 turns shedding off, not the deadline.
+  ServeSession Session(makeSnapshot(tinySystem()));
+  ServerOptions SrvOpts;
+  SrvOpts.QueueCapacity = 0;
+  SrvOpts.DeadlineSeconds = 0.05;
+  std::string Text =
+      serveScript(Session, SrvOpts, "sleep 200\npts p\nquit\n");
+  ServeCounters C = Session.counters();
+  EXPECT_GE(C.DeadlineDropped, 1u);
+  EXPECT_EQ(C.Shed, 0u);
+  EXPECT_NE(Text.find("ERR deadline: waited"), std::string::npos) << Text;
+  EXPECT_NE(Text.find("slept 200 ms"), std::string::npos) << Text;
+}
+
 #ifdef AG_PTATOOL_PATH
 
 std::string slurpFile(const std::string &Path) {
@@ -618,47 +594,62 @@ bool waitForFile(const std::string &Path, std::chrono::milliseconds Limit,
   return false;
 }
 
-TEST(ServerE2e, SigtermDrainsUnixSocketServeAndExitsZero) {
-  std::string Dir = ::testing::TempDir();
-  std::string Cons = Dir + "server_e2e.cons";
-  std::string Snap = Dir + "server_e2e.snap";
-  std::string Sock = Dir + "server_e2e.sock";
-  std::string ErrPath = Dir + "server_e2e.err";
-  std::string PidPath = Dir + "server_e2e.pid";
-  std::string RcPath = Dir + "server_e2e.rc";
-  ::unlink(Sock.c_str());
-  ::unlink(PidPath.c_str());
-  ::unlink(RcPath.c_str());
+/// `ptatool serve <snapshot of tinySystem> --unix-socket <sock> <extra>`
+/// launched detached. The orphaned inner shell records the server's pid
+/// and, on exit, its status, so a test can assert a graceful 0 without
+/// being the parent.
+struct DetachedServe {
+  std::string Sock, ErrPath, PidPath, RcPath;
 
-  ASSERT_TRUE(tinySystem().writeToFile(Cons));
-  {
-    std::string Cmd = std::string(AG_PTATOOL_PATH) + " snapshot " + Cons +
-                      " " + Snap + " > /dev/null";
+  /// Writes the snapshot, launches the server and waits until it has
+  /// bound its socket.
+  void start(const std::string &Tag, const std::string &Extra) {
+    std::string Base = ::testing::TempDir() + Tag;
+    std::string Cons = Base + ".cons", Snap = Base + ".snap";
+    Sock = Base + ".sock";
+    ErrPath = Base + ".err";
+    PidPath = Base + ".pid";
+    RcPath = Base + ".rc";
+    ::unlink(Sock.c_str());
+    ::unlink(PidPath.c_str());
+    ::unlink(RcPath.c_str());
+
+    ASSERT_TRUE(tinySystem().writeToFile(Cons));
+    std::string SnapCmd = std::string(AG_PTATOOL_PATH) + " snapshot " + Cons +
+                          " " + Snap + " > /dev/null";
+    ASSERT_EQ(WEXITSTATUS(std::system(SnapCmd.c_str())), 0);
+
+    std::string Cmd = "( ( exec " + std::string(AG_PTATOOL_PATH) + " serve " +
+                      Snap + " --unix-socket " + Sock + " " + Extra + " 2> " +
+                      ErrPath + " ) & echo $! > " + PidPath + "; wait $!; " +
+                      "echo $? > " + RcPath + " ) &";
     ASSERT_EQ(WEXITSTATUS(std::system(Cmd.c_str())), 0);
+    ASSERT_TRUE(waitForFile(Sock, scaledMs(20000), /*WantSocket=*/true))
+        << "server never bound its unix socket; stderr: "
+        << slurpFile(ErrPath);
   }
 
-  // Launch the server detached; the orphaned inner shell records the
-  // server's pid and, on exit, its status (so the test can assert a
-  // graceful 0 without being the parent).
-  std::string Cmd = "( ( exec " + std::string(AG_PTATOOL_PATH) + " serve " +
-                    Snap + " --unix-socket " + Sock + " 2> " + ErrPath +
-                    " ) & echo $! > " + PidPath + "; wait $!; echo $? > " +
-                    RcPath + " ) &";
-  ASSERT_EQ(WEXITSTATUS(std::system(Cmd.c_str())), 0);
-  ASSERT_TRUE(waitForFile(Sock, scaledMs(20000), /*WantSocket=*/true))
-      << "server never bound its unix socket; stderr: "
-      << slurpFile(ErrPath);
+  /// Sends SIGTERM and waits for the server to exit.
+  void terminate() {
+    ASSERT_TRUE(waitForFile(PidPath, scaledMs(5000)));
+    int Pid = std::atoi(slurpFile(PidPath).c_str());
+    ASSERT_GT(Pid, 0);
+    ASSERT_EQ(::kill(Pid, SIGTERM), 0);
+    ASSERT_TRUE(waitForFile(RcPath, scaledMs(20000)))
+        << "server did not exit after SIGTERM; stderr: "
+        << slurpFile(ErrPath);
+  }
+
+  int exitCode() const { return std::atoi(slurpFile(RcPath).c_str()); }
+};
+
+TEST(ServerE2e, SigtermDrainsUnixSocketServeAndExitsZero) {
+  DetachedServe Srv;
+  ASSERT_NO_FATAL_FAILURE(Srv.start("server_e2e", ""));
 
   // One live query through the socket proves the server is up.
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  int Fd = connectUnix(Srv.Sock);
   ASSERT_GE(Fd, 0);
-  sockaddr_un Addr = {};
-  Addr.sun_family = AF_UNIX;
-  ASSERT_LT(Sock.size(), sizeof(Addr.sun_path));
-  std::memcpy(Addr.sun_path, Sock.c_str(), Sock.size() + 1);
-  ASSERT_EQ(::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                      sizeof(Addr)),
-            0);
   ASSERT_TRUE(sendAll(Fd, "pts p\n"));
   LineReader R{Fd, {}};
   std::string Line;
@@ -666,22 +657,32 @@ TEST(ServerE2e, SigtermDrainsUnixSocketServeAndExitsZero) {
   ASSERT_TRUE(R.next(Line, scaledMs(10000)));
   EXPECT_EQ(Line, "pts(p): 1");
 
-  ASSERT_TRUE(waitForFile(PidPath, scaledMs(5000)));
-  int Pid = std::atoi(slurpFile(PidPath).c_str());
-  ASSERT_GT(Pid, 0);
-  ASSERT_EQ(::kill(Pid, SIGTERM), 0);
-
   // Drain: exit code 0, socket unlinked, our open connection sees EOF.
-  ASSERT_TRUE(waitForFile(RcPath, scaledMs(20000)))
-      << "server did not exit after SIGTERM; stderr: " << slurpFile(ErrPath);
+  ASSERT_NO_FATAL_FAILURE(Srv.terminate());
   std::string Rest = readToEof(Fd, scaledMs(10000));
   ::close(Fd);
   EXPECT_EQ(Rest, "") << "no partial reply may leak during drain";
-  EXPECT_EQ(std::atoi(slurpFile(RcPath).c_str()), 0)
-      << "stderr: " << slurpFile(ErrPath);
-  EXPECT_NE(slurpFile(ErrPath).find("drained:"), std::string::npos);
-  EXPECT_NE(::access(Sock.c_str(), F_OK), 0)
+  EXPECT_EQ(Srv.exitCode(), 0) << "stderr: " << slurpFile(Srv.ErrPath);
+  EXPECT_NE(slurpFile(Srv.ErrPath).find("drained:"), std::string::npos);
+  EXPECT_NE(::access(Srv.Sock.c_str(), F_OK), 0)
       << "the unix socket must be unlinked on shutdown";
+}
+
+TEST(ServerE2e, MaxQueueShedsOverUnixSocket) {
+  DetachedServe Srv;
+  ASSERT_NO_FATAL_FAILURE(Srv.start("server_e2e_shed", "--max-queue 1"));
+
+  int Fd = connectUnix(Srv.Sock);
+  ASSERT_GE(Fd, 0);
+  std::string Transcript =
+      runScript(Fd, "sleep 200\npts p\npts p\npts p\npts p\nquit\n",
+                scaledMs(20000));
+  ::close(Fd);
+  EXPECT_NE(Transcript.find("ERR overloaded: queue full"), std::string::npos)
+      << Transcript;
+
+  ASSERT_NO_FATAL_FAILURE(Srv.terminate());
+  EXPECT_EQ(Srv.exitCode(), 0) << "stderr: " << slurpFile(Srv.ErrPath);
 }
 
 #endif // AG_PTATOOL_PATH
