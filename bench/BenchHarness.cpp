@@ -29,11 +29,7 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
 } // namespace
 
 double ag::bench::scaleFromArgs(int Argc, char **Argv, double Default) {
-  if (Argc > 1)
-    return std::atof(Argv[1]);
-  if (const char *Env = std::getenv("AG_BENCH_SCALE"))
-    return std::atof(Env);
-  return Default;
+  return Argc > 1 ? std::atof(Argv[1]) : Default;
 }
 
 std::vector<Suite> ag::bench::loadSuites(double Scale) {
@@ -63,13 +59,7 @@ std::vector<Suite> ag::bench::loadSuites(double Scale) {
   return Out;
 }
 
-RunResult ag::bench::runSolver(const Suite &S, SolverKind Kind,
-                               PtsRepr Repr) {
-  return runSolver(S, Kind, Repr, SolverOptions());
-}
-
 RunResult ag::bench::runSolver(const Suite &S, SolverKind Kind, PtsRepr Repr,
-                               const SolverOptions &Opts,
                                bool CaptureMetrics) {
   RunResult R;
   bool MetricsWereOn = obs::metricsEnabled();
@@ -87,7 +77,7 @@ RunResult ag::bench::runSolver(const Suite &S, SolverKind Kind, PtsRepr Repr,
 
   auto T0 = std::chrono::steady_clock::now();
   PointsToSolution Sol =
-      solve(S.Reduced, Kind, Repr, &R.Stats, Opts, &S.Rep,
+      solve(S.Reduced, Kind, Repr, &R.Stats, SolverOptions(), &S.Rep,
             usesHcd(Kind) ? &S.Hcd : nullptr);
   R.Seconds = secondsSince(T0);
 
@@ -96,7 +86,6 @@ RunResult ag::bench::runSolver(const Suite &S, SolverKind Kind, PtsRepr Repr,
   R.PeakBddBytes =
       MemTracker::instance().peakBytes(MemCategory::BddTable) - BddBase;
   R.SolutionHash = Sol.hash();
-  R.TotalPtsSize = Sol.totalPointsToSize();
   R.ArenaPeakBytes = ArenaStats::instance().peakReservedBytes();
   R.ArenaPeakSlabs = ArenaStats::instance().peakSlabs();
   R.InternedHits = InternStats::instance().hits();
@@ -118,9 +107,7 @@ void ag::bench::printHeader(const char *Experiment, const char *PaperRef,
               "=\n");
   std::printf("%s\n", Experiment);
   std::printf("reproduces: %s (Hardekopf & Lin, PLDI 2007)\n", PaperRef);
-  std::printf("workload scale: %.2f (1.0 ~ paper sizes / 8); single run "
-              "per cell\n",
-              Scale);
+  std::printf("workload scale: %.2f (1.0 ~ paper sizes / 8)\n", Scale);
   std::printf("==============================================================="
               "=\n");
 }

@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Common plumbing for the table/figure reproduction binaries: generate
-/// the six paper-shaped suites, run OVS and the HCD offline pass, time
-/// solver runs, and track peak memory per run. Every bench binary reads
-/// the scale factor from argv[1] or the AG_BENCH_SCALE environment
-/// variable (default 0.25; scale 1.0 approximates the paper's sizes / 8).
+/// Common plumbing for the bench binaries: generate the six paper-shaped
+/// suites, run OVS and the HCD offline pass, time solver runs, and track
+/// peak memory per run. Every bench binary reads the scale factor from
+/// argv[1] (scale 1.0 approximates the paper's sizes / 8).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,8 +38,7 @@ struct Suite {
   uint64_t NumBase = 0, NumSimple = 0, NumComplex = 0;
 };
 
-/// Resolves the scale factor: argv[1] if present, else AG_BENCH_SCALE,
-/// else \p Default.
+/// Resolves the scale factor: argv[1] if present, else \p Default.
 double scaleFromArgs(int Argc, char **Argv, double Default = 0.12);
 
 /// Generates and preprocesses all six suites at \p Scale.
@@ -53,7 +51,6 @@ struct RunResult {
   uint64_t PeakBitmapBytes = 0;
   uint64_t PeakBddBytes = 0;
   uint64_t SolutionHash = 0;
-  uint64_t TotalPtsSize = 0;
   /// Memory-kernel counters for the run (arena slab high-water mark,
   /// set-interning tallies, and the extracted solution's sharing ratio).
   uint64_t ArenaPeakBytes = 0;
@@ -67,22 +64,15 @@ struct RunResult {
   /// verbatim into their BENCH_*.json rows instead of hand-plumbing
   /// individual counter fields.
   std::string MetricsJson;
-
-  double peakMb() const {
-    return double(PeakBitmapBytes + PeakBddBytes) / (1024.0 * 1024.0);
-  }
 };
 
 /// Times one solve of \p S with \p Kind/\p Repr, capturing stats and peak
 /// tracked memory. The HCD offline result is reused (its cost is reported
-/// separately, as in Table 3).
-RunResult runSolver(const Suite &S, SolverKind Kind, PtsRepr Repr);
-
-/// As above, with explicit solver options. With \p CaptureMetrics, the
-/// metrics channel is enabled and reset around the solve and the run's
-/// registry snapshot lands in RunResult::MetricsJson.
+/// separately, as in Table 3). With \p CaptureMetrics, the metrics channel
+/// is enabled and reset around the solve and the run's registry snapshot
+/// lands in RunResult::MetricsJson.
 RunResult runSolver(const Suite &S, SolverKind Kind, PtsRepr Repr,
-                    const SolverOptions &Opts, bool CaptureMetrics = false);
+                    bool CaptureMetrics = false);
 
 /// Prints the standard header naming the experiment.
 void printHeader(const char *Experiment, const char *PaperRef,

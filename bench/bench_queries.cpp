@@ -14,7 +14,7 @@
 /// DemandSolver) vs a cold exhaustive solve — headline speedup on the
 /// fastest targeted query, median and max published alongside — plus
 /// the memo warm-up curve over a query sequence. Timed sections follow the
-/// bench_solvers discipline — the first repetition is the cold number,
+/// bench_paper discipline — the first repetition is the cold number,
 /// the min of three the steady-state (min, not mean — noise is
 /// one-sided). Results land in BENCH_queries.json (argv[2] or the
 /// working directory). Exits non-zero only on correctness failures
@@ -148,7 +148,7 @@ int main(int Argc, char **Argv) {
   constexpr size_t NumQueries = 40000;
   constexpr size_t PoolSize = 128;
   constexpr double DeltaFrac = 0.05;
-  // First repetition = cold, min of all = steady state (bench_solvers
+  // First repetition = cold, min of all = steady state (bench_paper
   // discipline).
   constexpr int BenchReps = 3;
 

@@ -12,7 +12,7 @@
 /// into `constexpr false` so the optimizer removes the slow paths entirely.
 /// That branch is the whole overhead contract (DESIGN.md §11): with the
 /// bits clear, a solve must run within noise of a build that has no
-/// observability layer at all — bench_solvers records the ratio as a
+/// observability layer at all — bench_paper records the ratio as a
 /// guardrail.
 ///
 /// Three independent channels:

@@ -10,11 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <cstdlib>
-#include <cstdio>
 #include <map>
-#include <optional>
 
 using namespace ag;
 
@@ -110,25 +106,6 @@ Bdd BlqSolver::offsetRelation(uint32_t Offset, unsigned FromDom,
   return Out;
 }
 
-namespace {
-/// Debug timing (AG_BLQ_DEBUG=1): prints per-phase milliseconds.
-struct PhaseTimer {
-  explicit PhaseTimer(const char *Name)
-      : Name(Name), Enabled(std::getenv("AG_BLQ_DEBUG") != nullptr),
-        Start(std::chrono::steady_clock::now()) {}
-  ~PhaseTimer() {
-    if (Enabled)
-      std::fprintf(stderr, "[blq] %-18s %.2f ms\n", Name,
-                   std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - Start)
-                       .count());
-  }
-  const char *Name;
-  bool Enabled;
-  std::chrono::steady_clock::time_point Start;
-};
-} // namespace
-
 PointsToSolution BlqSolver::solve() {
   // --- Build the initial relations.
   Bdd P = Mgr->falseBdd();   // Points-to (D1 var, D2 obj).
@@ -143,9 +120,6 @@ PointsToSolution BlqSolver::solve() {
     return Groups[It->second];
   };
 
-  // Phase timers are RAII so a governor throw cannot leak one.
-  std::optional<PhaseTimer> T;
-  T.emplace("build relations");
   for (const Constraint &Cn : CS.constraints()) {
     if (Gov)
       Gov->onStep();
@@ -175,7 +149,6 @@ PointsToSolution BlqSolver::solve() {
     }
   }
 
-  T.emplace("offset relations");
   // Pre-built per-offset object-slot relations.
   std::vector<Bdd> OffToD3, OffToD1;
   for (OffsetGroup &G : Groups) {
@@ -187,7 +160,6 @@ PointsToSolution BlqSolver::solve() {
   Bdd IdD2D3 = offsetRelation(0, D2, D3);
   Bdd IdD2D1 = offsetRelation(0, D2, D1);
 
-  T.emplace("solve iterations");
   BddVarSetId QD1 = Doms->varSet(D1);
   BddVarSetId QD2 = Doms->varSet(D2);
   BddVarSetId QD3 = Doms->varSet(D3);
@@ -209,13 +181,6 @@ PointsToSolution BlqSolver::solve() {
     P3src = P;
   };
 
-  bool Debug = std::getenv("AG_BLQ_DEBUG") != nullptr;
-  double TEdge = 0, TProp = 0, TInner = 0;
-  auto tick = [] {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  };
   // Extraction of whatever P currently holds — the final answer on the
   // normal path, a partial snapshot when the governor aborts the loop.
   auto extract = [&](const Bdd &Rel) {
@@ -237,7 +202,6 @@ PointsToSolution BlqSolver::solve() {
       Gov->checkpoint();
     Bdd Pstart = P;
     Bdd Cstart = C;
-    double TA = tick();
 
     // (a) Edge generation from new points-to tuples.
     Bdd Pnew = Mgr->bddDiff(P, PprocEdges);
@@ -278,8 +242,6 @@ PointsToSolution BlqSolver::solve() {
       PprocEdges = P;
     }
 
-    double TB = tick();
-    TEdge += TB - TA;
     // (b) Propagate the full solution across new edges.
     Bdd Cnew = Mgr->bddDiff(C, Cused);
     if (!Cnew.isFalse()) {
@@ -291,8 +253,6 @@ PointsToSolution BlqSolver::solve() {
         Gov->onPropagation();
     }
 
-    double TC = tick();
-    TProp += TC - TB;
     // (c) Propagate new tuples across all edges, to a local fixpoint.
     for (;;) {
       Bdd Pd = Mgr->bddDiff(P, Pprop);
@@ -306,7 +266,6 @@ PointsToSolution BlqSolver::solve() {
         Gov->onPropagation();
     }
 
-    TInner += tick() - TC;
     if (P == Pstart && C == Cstart)
       break;
   }
@@ -316,17 +275,8 @@ PointsToSolution BlqSolver::solve() {
     E.setPartial(std::make_shared<PointsToSolution>(extract(P)));
     throw;
   }
-  if (Debug)
-    std::fprintf(stderr,
-                 "[blq] edge-gen %.1f ms, prop-new-edges %.1f ms, "
-                 "prop-new-pts %.1f ms, gcs %u, cap %u\n",
-                 TEdge, TProp, TInner, Mgr->gcCount(), Mgr->capacity());
-
-  T.emplace("extraction");
   Stats.EdgesAdded = Doms->countPairs(C, D1, D3);
 
   // --- Extraction.
-  PointsToSolution Out = extract(P);
-  T.reset();
-  return Out;
+  return extract(P);
 }

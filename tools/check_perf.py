@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Perf guardrail over BENCH_solvers.json / BENCH_queries.json.
+"""Perf guardrail over BENCH_paper.json / BENCH_queries.json.
 
 Compares a fresh bench run against the checked-in baseline and fails
-when any guarded row regresses beyond the tolerance. Guarded rows:
+when any guarded row regresses beyond the tolerance, or when any work
+counter moves. Guarded rows:
 
-* BENCH_solvers.json -- the LCD-family bitmap wall times (the paper's
-  headline solvers, and the ones the memory-kernel work optimizes).
+* BENCH_paper.json -- the LCD-family bitmap wall times (the paper's
+  headline solvers, and the ones the memory-kernel work optimizes), and
+  every solver.* counter of every bitmap and BDD cell. The counters are
+  deterministic, so they must equal the baseline exactly: a change that
+  moves one has to refresh the baseline and say why.
 * BENCH_queries.json -- the demand tier's first-answer latencies per
   suite: best targeted query (first_query_ms), the sample median, and
   the whole-graph worst case (max_query_ms), plus the request-telemetry
@@ -34,8 +38,8 @@ entirely -- see .github/workflows/ci.yml.
 
 --write-baseline regenerates <baseline.json> from the given bench runs
 (run them at the SAME fixed scale the CI step uses). Refresh it
-whenever a deliberate perf trade-off or a runner change shifts the
-numbers.
+whenever a deliberate perf trade-off, a runner change or a change in
+the solvers' work shifts the numbers.
 """
 
 import json
@@ -62,8 +66,8 @@ DEFAULT_TELEMETRY_BOUND = 1.75
 
 def rows(bench):
     out = {}
-    for r in bench.get("solvers", []):
-        if r["kind"] in GUARDED_KINDS:
+    for r in bench.get("cells", []):
+        if r["repr"] == "bitmap" and r["kind"] in GUARDED_KINDS:
             out[(r["suite"], r["kind"])] = float(r["wall_ms"])
     for r in bench.get("suites", []):
         demand = r.get("demand")
@@ -73,6 +77,36 @@ def rows(bench):
             if key in demand:
                 out[(r["suite"], kind)] = float(demand[key])
     return out
+
+
+def counters(bench):
+    return {(r["suite"], r["kind"], r["repr"]):
+            {k: v for k, v in r["metrics"]["counters"].items()
+             if k.startswith("solver.")}
+            for r in bench.get("cells", [])}
+
+
+def check_counters(fresh, baseline):
+    """Every baseline cell's solver.* counters, exactly. True if ok."""
+    ok = True
+    for row in baseline:
+        key = (row["suite"], row["kind"], row["repr"])
+        want = {k: v for k, v in row.items() if k.startswith("solver.")}
+        got = fresh.get(key)
+        if got is None:
+            print("%-14s %-20s counters MISSING from bench output"
+                  % (key[0], "%s/%s" % key[1:]))
+            ok = False
+            continue
+        for name in sorted(set(want) | set(got)):
+            if want.get(name) != got.get(name):
+                print("%-14s %-20s %s: base %s, now %s"
+                      % (key[0], "%s/%s" % key[1:], name, want.get(name),
+                         got.get(name)))
+                ok = False
+    print("%d cells' solver.* counters %s"
+          % (len(baseline), "match" if ok else "MOVED"))
+    return ok
 
 
 def check_telemetry_overhead(docs):
@@ -104,12 +138,14 @@ def main(argv):
         return 2
     bench_paths, baseline_path = paths[:-1], paths[-1]
     bench = {}
+    cells = {}
     docs = []
     for p in bench_paths:
         with open(p) as f:
             doc = json.load(f)
         docs.append(doc)
         bench.update(rows(doc))
+        cells.update(counters(doc))
     if not bench:
         print("error: %s has no guarded rows" % ", ".join(bench_paths))
         return 1
@@ -119,24 +155,32 @@ def main(argv):
             "comment": "Perf-guardrail baseline (tools/check_perf.py). "
                        "min-of-3 wall_ms per LCD-family bitmap run plus "
                        "the demand tier's first/median/max fresh "
-                       "first-answer latencies; regenerate with "
+                       "first-answer latencies, and every solver.* "
+                       "counter per bench_paper cell; regenerate with "
                        "--write-baseline at the scale the CI step runs.",
             "rows": [
                 {"suite": s, "kind": k, "wall_ms": ms}
                 for (s, k), ms in sorted(bench.items())
             ],
         }
+        # One line per counter row keeps the file small and its diffs
+        # readable.
+        text = json.dumps(doc, indent=2)[:-2] + ',\n  "counters": [\n'
+        text += ",\n".join(
+            "    " + json.dumps(dict(suite=s, kind=k, repr=r, **c))
+            for (s, k, r), c in sorted(cells.items()))
         with open(baseline_path, "w") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
-        print("wrote %s (%d rows)" % (baseline_path, len(bench)))
+            f.write(text + "\n  ]\n}\n")
+        print("wrote %s (%d rows, %d counter rows)"
+              % (baseline_path, len(bench), len(cells)))
         return 0
 
     with open(baseline_path) as f:
-        baseline = {
-            (r["suite"], r["kind"]): float(r["wall_ms"])
-            for r in json.load(f)["rows"]
-        }
+        baseline_doc = json.load(f)
+    baseline = {
+        (r["suite"], r["kind"]): float(r["wall_ms"])
+        for r in baseline_doc["rows"]
+    }
     tolerance = float(os.environ.get("AG_PERF_TOLERANCE", DEFAULT_TOLERANCE))
 
     failed = []
@@ -154,6 +198,12 @@ def main(argv):
             failed.append((suite, kind))
         print("%-14s %-20s base %8.3f ms  now %8.3f ms  %+6.1f%%  %s"
               % (suite, kind, base_ms, cur_ms, 100 * delta, verdict))
+
+    if not check_counters(cells, baseline_doc["counters"]):
+        print("\nperf guardrail FAILED: solver work counters moved; if "
+              "the change is intended, refresh the baseline with "
+              "--write-baseline and say why in the change description.")
+        return 1
 
     if not check_telemetry_overhead(docs):
         print("\nperf guardrail FAILED: request telemetry costs more than "
