@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The serving-layer numbers: per suite, snapshot size and load time,
-/// query throughput on a repeated mix (pointsTo / alias / pointedBy) with
-/// the result cache on vs off (capacity 0 — identical code path), the
+/// query throughput on a repeated mix (pointsTo / alias / pointedBy) on
+/// the bare QueryEngine vs through a serve epoch's answer cache, the
 /// warm-start re-solve of a constraint delta against a cold solve of the
 /// full system, and the demand tier: the distribution of fresh
 /// first-answer latencies over a pool sample (each node on its own
@@ -32,6 +32,7 @@
 #include "obs/EventLog.h"
 #include "obs/MetricsRegistry.h"
 #include "obs/Obs.h"
+#include "serve/AnswerCache.h"
 #include "serve/IncrementalSolver.h"
 #include "serve/QueryEngine.h"
 #include "serve/ServeSession.h"
@@ -100,11 +101,23 @@ double secondsSince(std::chrono::steady_clock::time_point T0) {
 }
 
 /// One repeated query mix: \p NumQueries drawn from a small pool so keys
-/// repeat heavily (the serving workload caches exist for). Returns
-/// queries/sec; accumulates a result fingerprint into \p Fingerprint so
-/// cached and uncached runs can be compared for identical answers.
-double runMix(QueryEngine &Engine, const std::vector<NodeId> &Pool,
-              size_t NumQueries, uint64_t Seed, uint64_t &Fingerprint) {
+/// repeat heavily (the serving workload caches exist for). With \p Cache
+/// every query goes through it, keyed and probed as a serve epoch does;
+/// without, through the bare engine. Returns queries/sec; accumulates a
+/// result fingerprint into \p Fingerprint so cached and uncached runs
+/// can be compared for identical answers.
+double runMix(QueryEngine &Engine, AnswerCache *Cache,
+              const std::vector<NodeId> &Pool, size_t NumQueries,
+              uint64_t Seed, uint64_t &Fingerprint) {
+  auto Through = [&](uint64_t Key, auto Compute) {
+    if (!Cache)
+      return Compute();
+    if (std::optional<Answer> Hit = probeAnswer(*Cache, Key))
+      return *Hit;
+    Answer Fresh = Compute();
+    Cache->put(Key, Fresh);
+    return Fresh;
+  };
   Rng R(Seed);
   uint64_t Fp = 0;
   auto T0 = std::chrono::steady_clock::now();
@@ -113,20 +126,30 @@ double runMix(QueryEngine &Engine, const std::vector<NodeId> &Pool,
     switch (R.nextBelow(4)) {
     case 0:
     case 1: { // 50% pointsTo.
-      auto List = Engine.pointsTo(A);
-      Fp = Fp * 1099511628211ull + List->size();
+      Answer Ans =
+          Through(answerKey(AnswerKind::PointsTo, Engine.canonId(A)),
+                  [&] { return Answer{Engine.pointsTo(A)}; });
+      Fp = Fp * 1099511628211ull + Ans.List->size();
       break;
     }
     case 2: { // 25% alias.
       NodeId B = Pool[R.nextBelow(Pool.size())];
-      Fp = Fp * 1099511628211ull + (Engine.alias(A, B) ? 1 : 2);
+      Answer Ans = Through(
+          answerKey(AnswerKind::Alias, Engine.canonId(A), Engine.canonId(B)),
+          [&] { return Answer{nullptr, Engine.alias(A, B)}; });
+      Fp = Fp * 1099511628211ull + (Ans.Verdict ? 1 : 2);
       break;
     }
     default: { // 25% pointedBy.
-      QueryEngine::IdList List;
-      if (!Engine.pointedBy(A, List).ok())
+      bool Ok = true;
+      Answer Ans = Through(answerKey(AnswerKind::PointedBy, A), [&] {
+        Answer Fresh;
+        Ok = Engine.pointedBy(A, Fresh.List).ok();
+        return Fresh;
+      });
+      if (!Ok)
         return 0; // Unbudgeted here; cannot trip.
-      Fp = Fp * 1099511628211ull + List->size();
+      Fp = Fp * 1099511628211ull + Ans.List->size();
       break;
     }
     }
@@ -191,31 +214,30 @@ int main(int Argc, char **Argv) {
       Row.SnapshotBytes = Bytes.size();
     }
 
-    // --- Query throughput, cache on vs off. -----------------------------
+    // --- Query throughput, bare engine vs through the answer cache. ------
     const uint32_t N = Loaded.CS.numNodes();
     std::vector<NodeId> Pool;
     Rng PoolR(S.Name.size() * 131 + 7);
     for (size_t I = 0; I != PoolSize; ++I)
       Pool.push_back(static_cast<NodeId>(PoolR.nextBelow(N)));
 
-    QueryEngine::Options Uncached;
-    Uncached.CacheCapacity = 0;
-    QueryEngine Cold(Loaded, Uncached);
-    QueryEngine Warm(std::move(Loaded)); // Default cache.
+    QueryEngine Engine(std::move(Loaded));
+    AnswerCache Cache(AnswerCacheEntries);
 
     uint64_t FpUncached = 0, FpCached = 0;
-    Row.UncachedQps = runMix(Cold, Pool, NumQueries, 1234, FpUncached);
-    Row.CachedQps = runMix(Warm, Pool, NumQueries, 1234, FpCached);
+    Row.UncachedQps =
+        runMix(Engine, nullptr, Pool, NumQueries, 1234, FpUncached);
+    Row.CachedQps = runMix(Engine, &Cache, Pool, NumQueries, 1234, FpCached);
     for (int Rep = 1; Rep != BenchReps; ++Rep) {
       uint64_t Fp = 0;
-      Row.UncachedQps =
-          std::max(Row.UncachedQps, runMix(Cold, Pool, NumQueries, 1234, Fp));
-      Row.CachedQps =
-          std::max(Row.CachedQps, runMix(Warm, Pool, NumQueries, 1234, Fp));
+      Row.UncachedQps = std::max(
+          Row.UncachedQps, runMix(Engine, nullptr, Pool, NumQueries, 1234, Fp));
+      Row.CachedQps = std::max(
+          Row.CachedQps, runMix(Engine, &Cache, Pool, NumQueries, 1234, Fp));
     }
     Row.CacheSpeedup =
         Row.UncachedQps > 0 ? Row.CachedQps / Row.UncachedQps : 0;
-    CacheStats CS = Warm.cacheStats();
+    CacheStats CS = Cache.stats();
     Row.HitRate = CS.Hits + CS.Misses > 0
                       ? double(CS.Hits) / double(CS.Hits + CS.Misses)
                       : 0;
@@ -349,8 +371,8 @@ int main(int Argc, char **Argv) {
           Row.DemandFirstMs > 0 ? Row.DemandColdMs / Row.DemandFirstMs : 0;
     }
 
-    // --- Demand memo warm-up: certified classes and LRU hits over a
-    // query sequence against one tier. ------------------------------------
+    // --- Demand memo warm-up: certified classes over a query sequence
+    // against one tier. ---------------------------------------------------
     {
       DemandTier Tier(S.Reduced);
       std::string Curve = "[";
@@ -360,13 +382,11 @@ int main(int Argc, char **Argv) {
         DemandTier::IdList List;
         (void)Tier.pointsTo(Pool[I], List);
         if (++Done % Batch == 0 || I + 1 == Pool.size()) {
-          CacheStats TS = Tier.cacheStats();
           if (Curve.size() > 1)
             Curve += ", ";
           Curve += "{\"queries\": " + std::to_string(Done) +
                    ", \"memo_complete\": " +
-                   std::to_string(Tier.memoCompleteCount()) +
-                   ", \"lru_hits\": " + std::to_string(TS.Hits) + "}";
+                   std::to_string(Tier.memoCompleteCount()) + "}";
         }
       }
       Curve += "]";

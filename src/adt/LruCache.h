@@ -5,15 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A sharded, mutex-per-shard LRU cache for query results. The serving
-/// layer keys entries on canonical union-find representatives, so all
-/// variables collapsed into one equivalence class share a single cache
-/// slot; sharding keeps concurrent REPL/batch queries from serializing
-/// on one lock.
+/// A sharded, mutex-per-shard LRU cache. Its one user in the library is
+/// the serve epoch's answer cache (serve/AnswerCache.h); sharding keeps
+/// concurrent server workers from serializing on one lock. Entries are
+/// never invalidated: a new serve epoch starts a new cache.
 ///
 /// Capacity 0 disables the cache entirely (every lookup misses, nothing
-/// is stored) — the benchmark uses this to measure uncached throughput
-/// through the identical code path.
+/// is stored).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,15 +95,6 @@ public:
     }
     S.Order.emplace_front(Key, std::move(Value));
     S.Map.emplace(Key, S.Order.begin());
-  }
-
-  /// Drops every entry in every shard (stats are preserved).
-  void clear() {
-    for (auto &S : Shards) {
-      std::lock_guard<std::mutex> Lock(S.Mu);
-      S.Map.clear();
-      S.Order.clear();
-    }
   }
 
   CacheStats stats() const {

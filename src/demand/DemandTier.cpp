@@ -10,16 +10,11 @@
 #include "obs/RequestContext.h"
 #include "obs/TraceRecorder.h"
 
-#include <algorithm>
-
 using namespace ag;
 
 DemandTier::DemandTier(ConstraintSystem System, const Options &O)
     : Opts(O), CS(std::move(System)),
-      Demand(std::make_unique<DemandSolver>(CS)),
-      Cache(Opts.CacheCapacity / 2, Opts.CacheShards),
-      AliasCache(Opts.CacheCapacity - Opts.CacheCapacity / 2,
-                 Opts.CacheShards) {}
+      Demand(std::make_unique<DemandSolver>(CS)) {}
 
 DemandTier::IdList DemandTier::materialize(const SparseBitVector &Bits) {
   std::vector<NodeId> Ids;
@@ -29,23 +24,25 @@ DemandTier::IdList DemandTier::materialize(const SparseBitVector &Bits) {
   return std::make_shared<const std::vector<NodeId>>(std::move(Ids));
 }
 
-DemandTier::IdList DemandTier::solutionPointsTo(NodeId V) {
+DemandTier::IdList DemandTier::solutionPointsTo(NodeId V) const {
   return std::make_shared<const std::vector<NodeId>>(
       Escalation->pointsToVector(V));
 }
 
-DemandTier::IdList DemandTier::solutionPointedBy(NodeId Obj) {
-  if (!EscReverseBuilt) {
-    const uint32_t N = CS.numNodes();
-    EscReverse.assign(N, {});
-    // Ascending scan over all nodes (class members included) keeps every
-    // per-object list sorted without a sort pass.
-    for (NodeId V = 0; V != N; ++V)
-      for (uint32_t O : Escalation->pointsTo(V))
-        EscReverse[O].push_back(V);
-    EscReverseBuilt = true;
-  }
-  return std::make_shared<const std::vector<NodeId>>(EscReverse[Obj]);
+DemandTier::IdList DemandTier::solutionPointedBy(NodeId Obj) const {
+  // An ascending scan over all nodes (class members included) yields a
+  // sorted list. Sets are walked, not probed: a probe moves the set's
+  // lookup cursor, and the sets are shared with a materialized engine
+  // that other threads read.
+  std::vector<NodeId> Ids;
+  for (NodeId V = 0; V != CS.numNodes(); ++V)
+    for (uint32_t O : Escalation->pointsTo(V))
+      if (O >= Obj) {
+        if (O == Obj)
+          Ids.push_back(V);
+        break;
+      }
+  return std::make_shared<const std::vector<NodeId>>(std::move(Ids));
 }
 
 Status DemandTier::escalateLocked(const Status &TripSt) {
@@ -71,10 +68,8 @@ Status DemandTier::escalateLocked(const Status &TripSt) {
   Escalation = std::make_shared<PointsToSolution>(std::move(R.Solution));
   EscOutcome = R.Outcome;
   EscSt = R.St;
-  // Cached demand answers are exact; a Fallback solution over-approximates.
-  // Drop everything so one source answers from here on.
-  Cache.clear();
-  AliasCache.clear();
+  Escalated = true;
+  ++Version;
   return Status::okStatus();
 }
 
@@ -90,24 +85,13 @@ Status DemandTier::escalateNow() {
 }
 
 Status DemandTier::pointsTo(NodeId V, IdList &Out) {
+  std::lock_guard<std::mutex> Lock(Mu);
   if (!validNode(V))
     return Status::invalidArgument("pointsTo query for unknown node " +
                                    std::to_string(V));
-  const uint64_t Key = listKey(TagPts, V);
-  if (auto Hit = Cache.get(Key)) {
-    obs::count(obs::Counter::ServeLruHits);
-    obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/true);
-    Out = *Hit;
-    return Status::okStatus();
-  }
-  obs::count(obs::Counter::ServeLruMisses);
-  obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/false);
-
-  std::lock_guard<std::mutex> Lock(Mu);
   if (Escalation) {
     obs::noteTierProbe(obs::ReqTier::Escalation, /*Hit=*/true);
     Out = solutionPointsTo(V);
-    Cache.put(Key, Out);
     return Status::okStatus();
   }
   SparseBitVector Bits;
@@ -121,7 +105,6 @@ Status DemandTier::pointsTo(NodeId V, IdList &Out) {
   }
   if (St.ok()) {
     Out = materialize(Bits);
-    Cache.put(Key, Out);
     return St;
   }
   if (!St.isBudgetTrip())
@@ -129,31 +112,16 @@ Status DemandTier::pointsTo(NodeId V, IdList &Out) {
   if (Status Esc = escalateLocked(St); !Esc.ok())
     return Esc;
   Out = solutionPointsTo(V);
-  Cache.put(Key, Out);
   return Status::okStatus();
 }
 
 Status DemandTier::alias(NodeId A, NodeId B, bool &Out) {
+  std::lock_guard<std::mutex> Lock(Mu);
   if (!validNode(A) || !validNode(B))
     return Status::invalidArgument("alias query for unknown node");
-  NodeId Lo = A, Hi = B;
-  if (Lo > Hi)
-    std::swap(Lo, Hi);
-  const uint64_t Key = (uint64_t(Lo) << 32) | Hi;
-  if (auto Hit = AliasCache.get(Key)) {
-    obs::count(obs::Counter::ServeLruHits);
-    obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/true);
-    Out = *Hit;
-    return Status::okStatus();
-  }
-  obs::count(obs::Counter::ServeLruMisses);
-  obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/false);
-
-  std::lock_guard<std::mutex> Lock(Mu);
   if (Escalation) {
     obs::noteTierProbe(obs::ReqTier::Escalation, /*Hit=*/true);
     Out = Escalation->mayAlias(A, B);
-    AliasCache.put(Key, Out);
     return Status::okStatus();
   }
   Status St;
@@ -164,38 +132,22 @@ Status DemandTier::alias(NodeId A, NodeId B, bool &Out) {
     if (St.ok())
       Tier.markHit();
   }
-  if (St.ok()) {
-    AliasCache.put(Key, Out);
-    return St;
-  }
-  if (!St.isBudgetTrip())
+  if (St.ok() || !St.isBudgetTrip())
     return St;
   if (Status Esc = escalateLocked(St); !Esc.ok())
     return Esc;
   Out = Escalation->mayAlias(A, B);
-  AliasCache.put(Key, Out);
   return Status::okStatus();
 }
 
 Status DemandTier::pointedBy(NodeId Obj, IdList &Out) {
+  std::lock_guard<std::mutex> Lock(Mu);
   if (!validNode(Obj))
     return Status::invalidArgument("pointedBy query for unknown node " +
                                    std::to_string(Obj));
-  const uint64_t Key = listKey(TagPointedBy, Obj);
-  if (auto Hit = Cache.get(Key)) {
-    obs::count(obs::Counter::ServeLruHits);
-    obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/true);
-    Out = *Hit;
-    return Status::okStatus();
-  }
-  obs::count(obs::Counter::ServeLruMisses);
-  obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/false);
-
-  std::lock_guard<std::mutex> Lock(Mu);
   if (Escalation) {
     obs::noteTierProbe(obs::ReqTier::Escalation, /*Hit=*/true);
     Out = solutionPointedBy(Obj);
-    Cache.put(Key, Out);
     return Status::okStatus();
   }
   SparseBitVector Bits;
@@ -209,7 +161,6 @@ Status DemandTier::pointedBy(NodeId Obj, IdList &Out) {
   }
   if (St.ok()) {
     Out = materialize(Bits);
-    Cache.put(Key, Out);
     return St;
   }
   if (!St.isBudgetTrip())
@@ -217,34 +168,42 @@ Status DemandTier::pointedBy(NodeId Obj, IdList &Out) {
   if (Status Esc = escalateLocked(St); !Esc.ok())
     return Esc;
   Out = solutionPointedBy(Obj);
-  Cache.put(Key, Out);
   return Status::okStatus();
 }
 
 bool DemandTier::tryMemoPointsTo(NodeId V, IdList &Out) {
-  if (!validNode(V))
-    return false;
   // Certified classes stay exact even after escalation (same system,
   // same least fixpoint); resolveDelta invalidates them before the
-  // system changes. So the memo keeps answering for the engine tier.
+  // system changes. So the memo keeps answering ahead of the engine.
   std::lock_guard<std::mutex> Lock(Mu);
   SparseBitVector Bits;
-  if (!Demand->memoPointsTo(V, Bits)) {
-    obs::noteTierProbe(obs::ReqTier::Memo, /*Hit=*/false);
-    return false;
-  }
-  Out = materialize(Bits);
-  return true;
+  bool Hit = Demand->memoPointsTo(V, Bits);
+  obs::noteTierProbe(obs::ReqTier::Memo, Hit);
+  if (Hit)
+    Out = materialize(Bits);
+  return Hit;
 }
 
 bool DemandTier::tryMemoAlias(NodeId A, NodeId B, bool &Out) {
-  if (!validNode(A) || !validNode(B))
-    return false;
   std::lock_guard<std::mutex> Lock(Mu);
   bool Hit = Demand->memoAlias(A, B, Out);
-  if (!Hit)
-    obs::noteTierProbe(obs::ReqTier::Memo, /*Hit=*/false);
+  obs::noteTierProbe(obs::ReqTier::Memo, Hit);
   return Hit;
+}
+
+Status DemandTier::callees(NodeId V, IdList &Out) {
+  IdList Pts;
+  if (Status St = pointsTo(V, Pts); !St.ok())
+    return St;
+  // Under Mu: resolveDelta may be growing the node table. Objects only
+  // ever gain nodes after them, so Pts's flags are stable.
+  std::lock_guard<std::mutex> Lock(Mu);
+  std::vector<NodeId> Funs;
+  for (NodeId Obj : *Pts)
+    if (CS.isFunction(Obj))
+      Funs.push_back(Obj);
+  Out = std::make_shared<const std::vector<NodeId>>(std::move(Funs));
+  return Status::okStatus();
 }
 
 Status DemandTier::resolveDelta(const ConstraintSystem &DeltaCS) {
@@ -298,15 +257,13 @@ Status DemandTier::resolveDelta(const ConstraintSystem &DeltaCS) {
   }
 
   Demand->refresh();
-  Cache.clear();
-  AliasCache.clear();
   // The escalated solution (if any) no longer matches the system; the
   // demand path resumes with its warm partial state.
   Escalation.reset();
-  EscReverse.clear();
-  EscReverseBuilt = false;
   EscSt = Status::okStatus();
   EscOutcome = SolveOutcome::Precise;
+  Escalated = false;
+  ++Version;
   return Status::okStatus();
 }
 

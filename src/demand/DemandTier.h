@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The serving tier over DemandSolver: per-query governor construction, an
-/// LRU of materialized results, structured escalation to an exhaustive
-/// governed solve when a query's deduction budget trips, and delta
-/// adoption mirroring IncrementalSolver::resolveSystem. Layering: this
-/// class deliberately knows nothing about the serve library — QueryEngine
-/// and ServeSession consult *it* (the demand memo is the first tier,
-/// snapshot solutions the second), never the other way around.
+/// The serving tier over DemandSolver: per-query governor construction,
+/// structured escalation to an exhaustive governed solve when a query's
+/// deduction budget trips, and delta adoption mirroring
+/// IncrementalSolver::resolveSystem. The tier caches no answers; the
+/// serve epoch in front of it does. Layering: this class deliberately
+/// knows nothing about the serve library — ServeSession consults *it*
+/// (the demand memo ahead of a snapshot solution), never the other way
+/// around.
 ///
 /// Escalation policy ("sound fallback preserved"): a Precise or Fallback
 /// exhaustive solution is adopted and serves every later query; a Partial
@@ -20,20 +21,19 @@
 /// answers.
 ///
 /// Thread-safe: one mutex serializes queries (the demand solver mutates
-/// shared memo state); the LRU probe in front of it is sharded and
-/// lock-cheap.
+/// shared memo state).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef AG_DEMAND_DEMANDTIER_H
 #define AG_DEMAND_DEMANDTIER_H
 
-#include "adt/LruCache.h"
 #include "constraints/ConstraintSystem.h"
 #include "core/PointsToSolution.h"
 #include "demand/DemandSolver.h"
 #include "solvers/Solve.h"
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -54,8 +54,6 @@ public:
     /// Escalate on a demand budget trip. When false a tripped query
     /// reports its trip Status instead.
     bool AllowEscalation = true;
-    size_t CacheCapacity = size_t(1) << 16;
-    size_t CacheShards = 8;
   };
 
   /// Shared sorted id list (the QueryEngine result convention).
@@ -79,14 +77,20 @@ public:
   /// May-alias verdict through the same tiers.
   Status alias(NodeId A, NodeId B, bool &Out);
 
-  /// Sorted list of nodes whose set contains \p Obj.
+  /// Sorted list of nodes whose set contains \p Obj. After escalation
+  /// this scans the whole solution. A serve session sends later reads to
+  /// a QueryEngine over the solution, so the scan serves one-shot callers
+  /// (`ptatool query`) and reads racing the escalation.
   Status pointedBy(NodeId Obj, IdList &Out);
 
+  /// Function objects \p V may target: pointsTo filtered to functions.
+  Status callees(NodeId V, IdList &Out);
+
   /// Memo-only probes: answer (and count a memo hit) iff the class is
-  /// certified-complete — never deduce. QueryEngine consults these
-  /// before its snapshot solution; certified answers remain exact after
-  /// escalation (same system, same least fixpoint), and resolveDelta
-  /// invalidates them before the system changes.
+  /// certified-complete — never deduce. A serve epoch over the escalated
+  /// solution consults these before it; certified answers remain exact
+  /// after escalation (same system, same least fixpoint), and
+  /// resolveDelta invalidates them before the system changes.
   bool tryMemoPointsTo(NodeId V, IdList &Out);
   bool tryMemoAlias(NodeId A, NodeId B, bool &Out);
 
@@ -97,11 +101,16 @@ public:
   /// Adopts \p DeltaCS (full node table + base and new constraints, the
   /// `ptatool resolve` file shape): validates and extends the node table
   /// exactly as IncrementalSolver::resolveSystem does, appends the new
-  /// constraints, invalidates affected memo entries, drops the result
-  /// cache and any escalated solution.
+  /// constraints, invalidates affected memo entries and drops any
+  /// escalated solution.
   Status resolveDelta(const ConstraintSystem &DeltaCS);
 
-  bool escalated() const { return Escalation != nullptr; }
+  bool escalated() const { return Escalated.load(); }
+  /// Bumped whenever the tier starts answering from a different source:
+  /// on adopting an escalation and on resolveDelta. An answer obtained
+  /// while the version stayed put came from demand deduction over one
+  /// system.
+  uint64_t version() const { return Version.load(); }
   SolveOutcome escalationOutcome() const { return EscOutcome; }
   const Status &escalationStatus() const { return EscSt; }
   SolverKind escalationKind() const { return Opts.EscalationKind; }
@@ -111,14 +120,8 @@ public:
   }
 
   uint64_t memoCompleteCount() const;
-  CacheStats cacheStats() const { return Cache.stats(); }
 
 private:
-  enum ListTag : uint64_t { TagPts = 0, TagPointedBy = 1 };
-  static uint64_t listKey(ListTag Tag, NodeId Id) {
-    return (uint64_t(Tag) << 32) | Id;
-  }
-
   static IdList materialize(const SparseBitVector &Bits);
 
   /// Runs the escalation solve if not yet run. Mu held. Returns the
@@ -127,8 +130,8 @@ private:
   Status escalateLocked(const Status &TripSt);
 
   /// pointsTo/pointedBy against the adopted exhaustive solution. Mu held.
-  IdList solutionPointsTo(NodeId V);
-  IdList solutionPointedBy(NodeId Obj);
+  IdList solutionPointsTo(NodeId V) const;
+  IdList solutionPointedBy(NodeId Obj) const;
 
   Options Opts;
   ConstraintSystem CS;
@@ -141,14 +144,10 @@ private:
   std::shared_ptr<const PointsToSolution> Escalation;
   SolveOutcome EscOutcome = SolveOutcome::Precise;
   Status EscSt;
-
-  /// Reverse index over the escalated solution, built on first
-  /// post-escalation pointedBy. Mu held for build and reads.
-  std::vector<std::vector<NodeId>> EscReverse;
-  bool EscReverseBuilt = false;
-
-  ShardedLruCache<uint64_t, IdList> Cache;
-  ShardedLruCache<uint64_t, bool> AliasCache;
+  /// Read without Mu, written under it: whether Escalation is set, and
+  /// the version() counter.
+  std::atomic<bool> Escalated{false};
+  std::atomic<uint64_t> Version{0};
 };
 
 } // namespace ag

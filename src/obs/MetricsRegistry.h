@@ -86,7 +86,7 @@ enum class Counter : unsigned {
   DemandEscalations,    ///< Demand queries escalated to an exhaustive solve.
   DemandInvalidations,  ///< Memo entries invalidated by constraint deltas.
   ServeRequests,        ///< REPL requests handled by ServeSession.
-  ServeTierLru,         ///< Requests that probed the LRU result caches.
+  ServeTierLru,         ///< Requests that probed the epoch's answer cache.
   ServeTierMemo,        ///< Requests that probed the demand memo.
   ServeTierDemand,      ///< Requests that ran a governed demand deduction.
   ServeTierEscalation,  ///< Requests escalated to an exhaustive solve.
@@ -132,7 +132,7 @@ enum class Hist : unsigned {
   PtsDiffSize,   ///< New elements per complex-resolution frontier pass.
   CycleSize,     ///< Members per collapsed SCC (size >= 2).
   WorklistDepth, ///< Worklist depth sampled every 1024 pops / per round.
-  QueryBatch,    ///< aliasBatch sizes.
+  QueryBatch,    ///< aliasbatch request sizes.
   DemandFrontier, ///< Demanded nodes per demand-solver fixpoint.
   ServeRequestMicros, ///< End-to-end serve request latency (micros).
   NumHists,

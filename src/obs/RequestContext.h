@@ -15,7 +15,7 @@
 /// nothing.
 ///
 /// The context accumulates the request's full tier path: which tiers were
-/// entered (LRU cache, demand memo, governed demand deduction, escalation,
+/// entered (answer cache, demand memo, governed demand deduction, escalation,
 /// snapshot scan, warm-start re-solve), which of them produced the answer,
 /// how many microseconds each cost, and what the governor charged
 /// (propagations, edges, trips). ServeSession renders the finished context
@@ -39,7 +39,7 @@ namespace obs {
 /// Serving tiers a request can traverse, cheapest first. Mirrors the
 /// escalation ladder documented in DESIGN.md §13/§14.
 enum class ReqTier : unsigned {
-  Lru,        ///< QueryEngine's sharded result caches.
+  Lru,        ///< The serve epoch's answer cache.
   Memo,       ///< DemandTier's certified memo table.
   Demand,     ///< Governed demand deduction fixpoint.
   Escalation, ///< Exhaustive solve after a demand budget trip.

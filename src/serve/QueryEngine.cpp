@@ -1,4 +1,4 @@
-//===- QueryEngine.cpp - Cached points-to query serving -------------------===//
+//===- QueryEngine.cpp - Points-to query serving --------------------------===//
 //
 // Part of the grasshopper project, reproducing Hardekopf & Lin, PLDI 2007.
 //
@@ -6,10 +6,7 @@
 
 #include "serve/QueryEngine.h"
 
-#include "demand/DemandTier.h"
-#include "obs/MetricsRegistry.h"
 #include "obs/RequestContext.h"
-#include "obs/TraceRecorder.h"
 
 #include <algorithm>
 #include <cassert>
@@ -17,15 +14,7 @@
 
 using namespace ag;
 
-QueryEngine::QueryEngine(Snapshot S, const Options &Opts)
-    : Snap(std::move(S)),
-      // Alias verdicts are one bool; give the list cache the lion's
-      // share of the entry budget.
-      ListCache(Opts.CacheCapacity / 2, Opts.CacheShards),
-      AliasCache(Opts.CacheCapacity - Opts.CacheCapacity / 2,
-                 Opts.CacheShards) {
-  buildCanonIds();
-}
+QueryEngine::QueryEngine(Snapshot S) : Snap(std::move(S)) { buildCanonIds(); }
 
 void QueryEngine::buildCanonIds() {
   const uint32_t N = numNodes();
@@ -47,72 +36,17 @@ void QueryEngine::buildCanonIds() {
 
 QueryEngine::IdList QueryEngine::pointsTo(NodeId V) {
   assert(validNode(V) && "query for unknown node");
-  obs::TraceSpan Span("query.points_to", "serve");
-  obs::count(obs::Counter::ServeQueries);
-  uint64_t Key = listKey(TagPts, canonId(V));
-  if (auto Hit = ListCache.get(Key)) {
-    obs::count(obs::Counter::ServeLruHits);
-    obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/true);
-    return *Hit;
-  }
-  obs::count(obs::Counter::ServeLruMisses);
-  obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/false);
-  // Demand memo first: a certified class answers bit-equal to the
-  // snapshot without touching the solution at all.
-  if (DemandMemo) {
-    IdList Memo;
-    if (DemandMemo->tryMemoPointsTo(V, Memo)) {
-      obs::noteTierProbe(obs::ReqTier::Memo, /*Hit=*/true);
-      ListCache.put(Key, Memo);
-      return Memo;
-    }
-  }
   obs::TierSpan Tier(obs::ReqTier::Snapshot);
   Tier.markHit();
-  auto Result = std::make_shared<const std::vector<NodeId>>(
+  return std::make_shared<const std::vector<NodeId>>(
       Snap.Solution.pointsToVector(V));
-  ListCache.put(Key, Result);
-  return Result;
 }
 
 bool QueryEngine::alias(NodeId P, NodeId Q) {
   assert(validNode(P) && validNode(Q) && "query for unknown node");
-  obs::TraceSpan Span("query.alias", "serve");
-  obs::count(obs::Counter::ServeQueries);
-  NodeId A = canonId(P), B = canonId(Q);
-  if (A > B)
-    std::swap(A, B);
-  uint64_t Key = (uint64_t(A) << 32) | B;
-  if (auto Hit = AliasCache.get(Key)) {
-    obs::count(obs::Counter::ServeLruHits);
-    obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/true);
-    return *Hit;
-  }
-  obs::count(obs::Counter::ServeLruMisses);
-  obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/false);
-  if (DemandMemo) {
-    bool Memo;
-    if (DemandMemo->tryMemoAlias(P, Q, Memo)) {
-      obs::noteTierProbe(obs::ReqTier::Memo, /*Hit=*/true);
-      AliasCache.put(Key, Memo);
-      return Memo;
-    }
-  }
   obs::TierSpan Tier(obs::ReqTier::Snapshot);
   Tier.markHit();
-  bool Result = Snap.Solution.mayAlias(P, Q);
-  AliasCache.put(Key, Result);
-  return Result;
-}
-
-std::vector<bool>
-QueryEngine::aliasBatch(const std::vector<std::pair<NodeId, NodeId>> &Pairs) {
-  obs::observe(obs::Hist::QueryBatch, Pairs.size());
-  std::vector<bool> Out;
-  Out.reserve(Pairs.size());
-  for (const auto &[P, Q] : Pairs)
-    Out.push_back(alias(P, Q));
-  return Out;
+  return Snap.Solution.mayAlias(P, Q);
 }
 
 void QueryEngine::buildReverseIndex(SolveGovernor *Gov) {
@@ -143,17 +77,6 @@ void QueryEngine::buildReverseIndex(SolveGovernor *Gov) {
 
 Status QueryEngine::pointedBy(NodeId Obj, IdList &Out, SolveGovernor *Gov) {
   assert(validNode(Obj) && "query for unknown node");
-  obs::TraceSpan Span("query.pointed_by", "serve");
-  obs::count(obs::Counter::ServeQueries);
-  uint64_t Key = listKey(TagPointedBy, Obj);
-  if (auto Hit = ListCache.get(Key)) {
-    obs::count(obs::Counter::ServeLruHits);
-    obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/true);
-    Out = *Hit;
-    return Status::okStatus();
-  }
-  obs::count(obs::Counter::ServeLruMisses);
-  obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/false);
   obs::TierSpan Tier(obs::ReqTier::Snapshot);
   Tier.markHit();
   std::vector<NodeId> Pointers;
@@ -174,34 +97,19 @@ Status QueryEngine::pointedBy(NodeId Obj, IdList &Out, SolveGovernor *Gov) {
   // may have smaller ids (the survivor of a merge can outrank members of
   // another class): one sort restores the global order clients expect.
   std::sort(Pointers.begin(), Pointers.end());
-  auto Result =
-      std::make_shared<const std::vector<NodeId>>(std::move(Pointers));
-  ListCache.put(Key, Result);
-  Out = std::move(Result);
+  Out = std::make_shared<const std::vector<NodeId>>(std::move(Pointers));
   return Status::okStatus();
 }
 
 QueryEngine::IdList QueryEngine::callees(NodeId V) {
   assert(validNode(V) && "query for unknown node");
-  obs::TraceSpan Span("query.callees", "serve");
-  obs::count(obs::Counter::ServeQueries);
-  uint64_t Key = listKey(TagCallees, canonId(V));
-  if (auto Hit = ListCache.get(Key)) {
-    obs::count(obs::Counter::ServeLruHits);
-    obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/true);
-    return *Hit;
-  }
-  obs::count(obs::Counter::ServeLruMisses);
-  obs::noteTierProbe(obs::ReqTier::Lru, /*Hit=*/false);
   obs::TierSpan Tier(obs::ReqTier::Snapshot);
   Tier.markHit();
   std::vector<NodeId> Funs;
   for (uint32_t Obj : Snap.Solution.pointsTo(V))
     if (Snap.CS.isFunction(Obj))
       Funs.push_back(Obj);
-  auto Result = std::make_shared<const std::vector<NodeId>>(std::move(Funs));
-  ListCache.put(Key, Result);
-  return Result;
+  return std::make_shared<const std::vector<NodeId>>(std::move(Funs));
 }
 
 void QueryEngine::buildCallGraph() {
@@ -233,13 +141,4 @@ const std::vector<std::pair<NodeId, NodeId>> &QueryEngine::callGraph() {
   Tier.markHit();
   std::call_once(CallGraphOnce, [this] { buildCallGraph(); });
   return CallEdges;
-}
-
-CacheStats QueryEngine::cacheStats() const {
-  CacheStats L = ListCache.stats(), A = AliasCache.stats();
-  L.Hits += A.Hits;
-  L.Misses += A.Misses;
-  L.Evictions += A.Evictions;
-  L.Entries += A.Entries;
-  return L;
 }

@@ -1,4 +1,4 @@
-//===- QueryEngine.h - Cached points-to query serving -----------*- C++ -*-===//
+//===- QueryEngine.h - Points-to query serving ------------------*- C++ -*-===//
 //
 // Part of the grasshopper project, reproducing Hardekopf & Lin, PLDI 2007.
 //
@@ -7,26 +7,25 @@
 /// \file
 /// Serves the queries clients actually ask of a pointer analysis —
 /// pointsTo, alias, pointedBy (reverse index), and the function-pointer
-/// call graph — over a loaded Snapshot, fronted by sharded LRU result
-/// caches.
+/// call graph — over a loaded Snapshot. The engine caches nothing: the
+/// serve epoch that owns it fronts it with one answer cache
+/// (serve/AnswerCache.h), keyed by canonId.
 ///
-/// Cache keying: every set-dependent key is the *canonical set id* of
-/// the queried node — the lowest representative whose solution holds the
-/// same physical (hash-consed) points-to set, precomputed at load time.
-/// That subsumes the old rep-based keying: all members of a collapsed
-/// equivalence class (cycle members, OVS-substituted temporaries,
-/// HCD-merged variables) share one cache entry, and so do distinct
-/// representatives whose sets were deduplicated onto one canonical set
-/// by the solver's interning pass or the snapshot's backref encoding.
-/// Keys are stable small integers, never raw set pointers — a pointer
-/// key would go stale the moment a snapshot reload freed the set.
+/// Canonical set id: the lowest representative whose solution holds the
+/// same physical (hash-consed) points-to set as the queried node,
+/// precomputed at load time. All members of a collapsed equivalence
+/// class (cycle members, OVS-substituted temporaries, HCD-merged
+/// variables) share one id, and so do distinct representatives whose
+/// sets were deduplicated onto one canonical set by the solver's
+/// interning pass or the snapshot's backref encoding. Ids are stable
+/// small integers, never raw set pointers — a pointer key would go stale
+/// the moment a snapshot reload freed the set.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef AG_SERVE_QUERYENGINE_H
 #define AG_SERVE_QUERYENGINE_H
 
-#include "adt/LruCache.h"
 #include "adt/Status.h"
 #include "core/SolveBudget.h"
 #include "serve/Snapshot.h"
@@ -38,27 +37,16 @@
 
 namespace ag {
 
-class DemandTier;
-
 /// Query front-end over one snapshot. Thread-compatible: concurrent
-/// queries are safe (caches shard their locks; lazy indexes build under
-/// once-flags); loading a new snapshot requires external exclusion.
+/// queries are safe (lazy indexes build under a mutex or once-flag);
+/// loading a new snapshot requires external exclusion.
 class QueryEngine {
 public:
-  struct Options {
-    /// Total cached results across both caches' budgets; 0 disables
-    /// caching entirely (identical code path, every lookup misses) —
-    /// the benchmark's uncached baseline.
-    size_t CacheCapacity = size_t(1) << 16;
-    size_t CacheShards = 8;
-  };
-
-  /// Shared sorted id list; results are shared with the cache so a hit
-  /// costs no copy.
+  /// Shared sorted id list; the answer cache shares it, so a hit costs
+  /// no copy.
   using IdList = std::shared_ptr<const std::vector<NodeId>>;
 
-  explicit QueryEngine(Snapshot Snap) : QueryEngine(std::move(Snap), Options()) {}
-  QueryEngine(Snapshot Snap, const Options &Opts);
+  explicit QueryEngine(Snapshot Snap);
 
   const Snapshot &snapshot() const { return Snap; }
   uint32_t numNodes() const { return Snap.CS.numNodes(); }
@@ -67,26 +55,15 @@ public:
   /// require valid ids; the REPL validates before calling.
   bool validNode(NodeId V) const { return V < numNodes(); }
 
-  /// Attaches the demand tier whose certified memo is consulted *before*
-  /// the snapshot solution on pointsTo/alias. The tier only answers for
-  /// classes it has certified complete (bit-equal to the exhaustive
-  /// solution by construction) and stops answering once it has escalated,
-  /// so attaching never changes a query's result — only where the bits
-  /// come from. Call before sharing the engine across threads.
-  void attachDemandMemo(std::shared_ptr<DemandTier> Tier) {
-    DemandMemo = std::move(Tier);
-  }
+  /// The canonical set id of \p V: lowest node sharing V's physical
+  /// points-to set (all empty-set nodes collapse onto one id).
+  NodeId canonId(NodeId V) const { return CanonIds[V]; }
 
   /// Sorted points-to set of \p V.
   IdList pointsTo(NodeId V);
 
   /// May-alias: do pts(P) and pts(Q) intersect?
   bool alias(NodeId P, NodeId Q);
-
-  /// One verdict per pair, in order (the batch API: one call, many
-  /// cache probes, no per-query dispatch overhead).
-  std::vector<bool>
-  aliasBatch(const std::vector<std::pair<NodeId, NodeId>> &Pairs);
 
   /// Sorted list of nodes that may point to object \p Obj (the reverse
   /// index, built lazily on first use). The index build scans every
@@ -105,17 +82,7 @@ public:
   /// object in its points-to set. Sorted, deduplicated, built lazily.
   const std::vector<std::pair<NodeId, NodeId>> &callGraph();
 
-  /// Combined statistics of both result caches.
-  CacheStats cacheStats() const;
-
 private:
-  /// List-result cache key: result kind tag in the top bits, canonical
-  /// id below (ids fit 23 bits, see ConstraintSystem::MaxNodes).
-  enum ListTag : uint64_t { TagPts = 0, TagPointedBy = 1, TagCallees = 2 };
-  static uint64_t listKey(ListTag Tag, NodeId Id) {
-    return (uint64_t(Tag) << 32) | Id;
-  }
-
   /// Builds the reverse index into local temporaries, charging \p Gov,
   /// and commits only on success. Caller holds ReverseMu. Throws
   /// BudgetExceededError on a trip (nothing committed).
@@ -123,19 +90,10 @@ private:
   void buildCallGraph();
   void buildCanonIds();
 
-  /// The canonical set id of \p V: lowest node sharing V's physical
-  /// points-to set (all empty-set nodes collapse onto one id).
-  NodeId canonId(NodeId V) const { return CanonIds[V]; }
-
   Snapshot Snap;
   /// Per node: canonical set id (see canonId). Built at construction;
   /// immutable afterwards, so concurrent queries read it lock-free.
   std::vector<NodeId> CanonIds;
-  ShardedLruCache<uint64_t, IdList> ListCache;
-  ShardedLruCache<uint64_t, bool> AliasCache;
-
-  /// First tier for pointsTo/alias when attached (see attachDemandMemo).
-  std::shared_ptr<DemandTier> DemandMemo;
 
   /// Guards the lazy reverse-index build. A once-flag would latch a
   /// tripped (abandoned) build forever; a mutex + committed flag lets

@@ -11,6 +11,7 @@
 #include "obs/FlightRecorder.h"
 #include "obs/MetricsRegistry.h"
 #include "obs/QuantileWindow.h"
+#include "obs/TraceRecorder.h"
 #include "solvers/Solve.h"
 
 #include <chrono>
@@ -18,6 +19,7 @@
 #include <cstdlib>
 #include <istream>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <thread>
@@ -70,10 +72,7 @@ ServeSession::ServeSession(Snapshot Snap, ServeOptions O) : Opts(O) {
     if (I->valid().ok())
       Inc = std::move(I);
   }
-  auto St = std::make_shared<ServeState>();
-  St->Engine = std::make_shared<QueryEngine>(std::move(Snap));
-  St->Names = buildNames(St->Engine->snapshot().CS);
-  publishState(std::move(St));
+  publishEpoch(std::make_shared<QueryEngine>(std::move(Snap)));
 }
 
 ServeSession::ServeSession(ConstraintSystem System, ServeOptions O) : Opts(O) {
@@ -81,16 +80,34 @@ ServeSession::ServeSession(ConstraintSystem System, ServeOptions O) : Opts(O) {
   TO.QueryBudget = O.QueryBudget;
   TO.EscalationKind = O.EscalationKind;
   TO.EscalationOpts = O.ResolveOpts;
-  Tier = std::make_shared<DemandTier>(std::move(System), TO);
-  auto St = std::make_shared<ServeState>();
-  St->Names = buildNames(Tier->system());
-  publishState(std::move(St));
+  Tier = std::make_unique<DemandTier>(std::move(System), TO);
+  publishEpoch(nullptr);
 }
 
 ServeSession::~ServeSession() = default;
 
-const ConstraintSystem &ServeSession::systemOf(const ServeState &St) const {
-  return St.Engine ? St.Engine->snapshot().CS : Tier->system();
+ServeSession::StatePtr
+ServeSession::publishEpoch(std::shared_ptr<QueryEngine> Engine,
+                           std::shared_ptr<const NameTable> Names) {
+  const ConstraintSystem &CS = Engine ? Engine->snapshot().CS : Tier->system();
+  if (!Names) {
+    // First occurrence wins; interior slots have generated names like
+    // "a[1]" and resolve too.
+    auto Built = std::make_shared<NameTable>();
+    for (NodeId V = 0; V != CS.numNodes(); ++V)
+      if (const std::string &Name = CS.nameOf(V); !Name.empty())
+        Built->emplace(Name, V);
+    Names = std::move(Built);
+  }
+  auto St = std::make_shared<ServeState>();
+  St->Engine = std::move(Engine);
+  St->Names = std::move(Names);
+  St->NumNodes = CS.numNodes();
+  St->NumConstraints = CS.constraints().size();
+  if (Tier)
+    St->TierVersion = Tier->version();
+  publishState(St);
+  return St;
 }
 
 Status ServeSession::materializeEngine(StatePtr &St) {
@@ -115,17 +132,79 @@ Status ServeSession::materializeEngine(StatePtr &St) {
   FS.Repr = PtsRepr::Bitmap;
   FS.Outcome = Tier->escalationOutcome();
   FS.Sound = true;
-  auto NS = std::make_shared<ServeState>();
-  NS->Engine = std::make_shared<QueryEngine>(std::move(FS));
-  // Certified demand classes keep answering pointsTo/alias ahead of the
-  // snapshot solution.
-  NS->Engine->attachDemandMemo(Tier);
   // Escalation never changes the node table, but the CALLER's epoch can
   // predate a demand resolve that did: pair the engine with the current
   // epoch's table so delta-added nodes stay resolvable by name.
-  NS->Names = Cur->Names;
-  publishState(NS);
-  St = std::move(NS);
+  St = publishEpoch(std::make_shared<QueryEngine>(std::move(FS)), Cur->Names);
+  return Status::okStatus();
+}
+
+Status ServeSession::read(StatePtr &St, AnswerKind K, NodeId A, NodeId B,
+                          Answer &Out) {
+  // After an escalation the engine epoch over its solution serves.
+  if (!St->Engine && Tier->escalated())
+    if (Status S = materializeEngine(St); !S.ok())
+      return S;
+  static constexpr const char *SpanNames[] = {
+      "query.points_to", "query.pointed_by", "query.callees", "query.alias"};
+  obs::TraceSpan Span(SpanNames[unsigned(K)], "serve");
+  obs::count(obs::Counter::ServeQueries);
+  // An engine epoch keys set-dependent answers by canonical set id;
+  // pointedBy depends on the object itself.
+  auto Canon = [&](NodeId V) {
+    return St->Engine && K != AnswerKind::PointedBy ? St->Engine->canonId(V)
+                                                    : V;
+  };
+  const uint64_t Key =
+      answerKey(K, Canon(A), K == AnswerKind::Alias ? Canon(B) : 0);
+  if (std::optional<Answer> Hit = probeAnswer(St->Answers, Key)) {
+    Out = std::move(*Hit);
+    return Status::okStatus();
+  }
+  if (Status S = answerMiss(*St, K, A, B, Out); !S.ok())
+    return S;
+  // A demand epoch keeps only what deduction over its own system gave:
+  // not an escalation's answer (possibly an over-approximate Fallback),
+  // nor one a concurrent resolve already changed the system under.
+  if (St->Engine || Tier->version() == St->TierVersion)
+    St->Answers.put(Key, Out);
+  return Status::okStatus();
+}
+
+Status ServeSession::answerMiss(const ServeState &St, AnswerKind K, NodeId A,
+                                NodeId B, Answer &Out) {
+  QueryEngine *Engine = St.Engine.get();
+  if (!Engine) {
+    switch (K) {
+    case AnswerKind::PointsTo:
+      return Tier->pointsTo(A, Out.List);
+    case AnswerKind::PointedBy:
+      return Tier->pointedBy(A, Out.List);
+    case AnswerKind::Callees:
+      return Tier->callees(A, Out.List);
+    case AnswerKind::Alias:
+      return Tier->alias(A, B, Out.Verdict);
+    }
+  }
+  // Certified demand classes answer ahead of the snapshot solution.
+  switch (K) {
+  case AnswerKind::PointsTo:
+    if (!Tier || !Tier->tryMemoPointsTo(A, Out.List))
+      Out.List = Engine->pointsTo(A);
+    break;
+  case AnswerKind::PointedBy:
+    // The reverse-index build is whole-solution work, like the escalation
+    // that made a demand session's engine: QueryBudget (one deduction's
+    // budget) does not govern it.
+    return Engine->pointedBy(A, Out.List);
+  case AnswerKind::Callees:
+    Out.List = Engine->callees(A);
+    break;
+  case AnswerKind::Alias:
+    if (!Tier || !Tier->tryMemoAlias(A, B, Out.Verdict))
+      Out.Verdict = Engine->alias(A, B);
+    break;
+  }
   return Status::okStatus();
 }
 
@@ -141,27 +220,13 @@ ServeCounters ServeSession::counters() const {
   return S;
 }
 
-std::shared_ptr<const std::unordered_map<std::string, NodeId>>
-ServeSession::buildNames(const ConstraintSystem &CS) {
-  // First occurrence wins; interior slots have generated names like
-  // "a[1]" and resolve too.
-  auto Names = std::make_shared<std::unordered_map<std::string, NodeId>>();
-  for (NodeId V = 0; V != CS.numNodes(); ++V) {
-    const std::string &Name = CS.nameOf(V);
-    if (!Name.empty())
-      Names->emplace(Name, V);
-  }
-  return Names;
-}
-
 bool ServeSession::resolveNodeRef(const ServeState &St, const std::string &Tok,
                                   std::ostream &Out, NodeId &Id) const {
-  const ConstraintSystem &CS = systemOf(St);
   if (!Tok.empty() &&
       Tok.find_first_not_of("0123456789") == std::string::npos) {
     errno = 0;
     uint64_t Raw = std::strtoull(Tok.c_str(), nullptr, 10);
-    if (errno != ERANGE && Raw < CS.numNodes()) {
+    if (errno != ERANGE && Raw < St.NumNodes) {
       Id = static_cast<NodeId>(Raw);
       return true;
     }
@@ -187,12 +252,10 @@ void printIdList(std::ostream &Out, const char *What, const std::string &Ref,
 } // namespace
 
 void ServeSession::cmdCheck(StatePtr &St, std::ostream &Out) {
-  if (Tier && !St->Engine) {
-    // Certifying needs the whole solution: escalate and check that.
-    if (Status S = materializeEngine(St); !S.ok()) {
-      Out << "error: " << S.toString() << "\n";
-      return;
-    }
+  // Certifying needs the whole solution: escalate and check that.
+  if (Status S = materializeEngine(St); !S.ok()) {
+    Out << "error: " << S.toString() << "\n";
+    return;
   }
   const Snapshot &Snap = St->Engine->snapshot();
   if (Snap.Outcome == SolveOutcome::Partial) {
@@ -223,9 +286,7 @@ void ServeSession::cmdResolve(const std::string &Path, std::ostream &Out) {
       Out << "error: " << St.toString() << "\n";
       return;
     }
-    auto NS = std::make_shared<ServeState>();
-    NS->Names = buildNames(Tier->system());
-    publishState(NS);
+    publishEpoch(nullptr);
     Out << "resolved: demand delta adopted, new constraints "
         << (Tier->system().constraints().size() - Before) << ", nodes "
         << Tier->numNodes() << ", memo retained "
@@ -275,10 +336,7 @@ void ServeSession::cmdResolve(const std::string &Path, std::ostream &Out) {
     // Adopt for serving; the IncrementalSolver already folded the delta
     // and stays the warm-start base for the next resolve. Readers on the
     // old epoch finish there; the swap is one release store.
-    auto NS = std::make_shared<ServeState>();
-    NS->Engine = std::make_shared<QueryEngine>(Inc->snapshot());
-    NS->Names = buildNames(NS->Engine->snapshot().CS);
-    publishState(NS);
+    publishEpoch(std::make_shared<QueryEngine>(Inc->snapshot()));
     Out << "resolved: outcome precise, attempt " << Attempt << "/" << Attempts
         << ", new constraints " << R.NewConstraints << ", seeded "
         << R.SeededNodes << ", total |pts| "
@@ -301,10 +359,7 @@ void ServeSession::cmdResolve(const std::string &Path, std::ostream &Out) {
     FS.Repr = Inc->snapshot().Repr;
     FS.Outcome = SolveOutcome::Fallback;
     FS.Sound = true;
-    auto NS = std::make_shared<ServeState>();
-    NS->Engine = std::make_shared<QueryEngine>(std::move(FS));
-    NS->Names = buildNames(NS->Engine->snapshot().CS);
-    publishState(NS);
+    publishEpoch(std::make_shared<QueryEngine>(std::move(FS)));
     Out << "resolved: outcome fallback after " << Attempt << " attempts ("
         << R.St.toString() << "); serving sound fallback\n";
     return;
@@ -327,7 +382,7 @@ void ServeSession::cmdStats(const ServeState &St, std::ostream &Out,
     Out << obs::MetricsRegistry::instance().renderJson();
     return;
   }
-  CacheStats S = St.Engine ? St.Engine->cacheStats() : Tier->cacheStats();
+  CacheStats S = St.Answers.stats();
   Out << "stats: hits " << S.Hits << " misses " << S.Misses << " evictions "
       << S.Evictions << " entries " << S.Entries << "\n";
   if (Tier)
@@ -467,10 +522,9 @@ std::string ServeSession::oversizedLineReply() const {
 
 std::string ServeSession::bannerText() const {
   StatePtr St = state();
-  const ConstraintSystem &CS = systemOf(*St);
   std::ostringstream Oss;
-  Oss << "serving " << CS.numNodes() << " nodes, "
-      << CS.constraints().size() << " constraints"
+  Oss << "serving " << St->NumNodes << " nodes, " << St->NumConstraints
+      << " constraints"
       << (Tier ? " (demand mode)" : "") << " (type 'help')\n";
   return Oss.str();
 }
@@ -540,12 +594,10 @@ bool ServeSession::dispatch(const std::string &Cmd,
     return true;
   }
   if (Cmd == "callgraph") {
-    if (Tier && !St->Engine) {
-      // The call graph reads every base's full set: whole-solution work.
-      if (Status S = materializeEngine(St); !S.ok()) {
-        Out << "error: " << S.toString() << "\n";
-        return true;
-      }
+    // The call graph reads every base's full set: whole-solution work.
+    if (Status S = materializeEngine(St); !S.ok()) {
+      Out << "error: " << S.toString() << "\n";
+      return true;
     }
     const auto &Edges = St->Engine->callGraph();
     obs::noteResultSize(Edges.size());
@@ -593,74 +645,22 @@ bool ServeSession::dispatch(const std::string &Cmd,
     NodeId V = InvalidNode;
     if (!resolveNodeRef(*St, Args[0], Out, V))
       return true;
-    if (Tier && !St->Engine) {
-      // Demand path: deduce just what the query needs; a budget trip
-      // escalates inside the tier, and only an unanswerable query (no
-      // sound solution landed) reports an error.
-      const ConstraintSystem &CS = systemOf(*St);
-      QueryEngine::IdList List;
-      Status S;
-      if (Cmd == "pts") {
-        S = Tier->pointsTo(V, List);
-      } else if (Cmd == "pointedby") {
-        S = Tier->pointedBy(V, List);
-      } else {
-        S = Tier->pointsTo(V, List);
-        if (S.ok()) {
-          std::vector<NodeId> Funs;
-          for (NodeId Obj : *List)
-            if (CS.isFunction(Obj))
-              Funs.push_back(Obj);
-          List = std::make_shared<const std::vector<NodeId>>(std::move(Funs));
-        }
-      }
-      if (!S.ok()) {
-        Out << "error: " << S.toString() << "\n";
-        return true;
-      }
-      printIdList(Out, Cmd.c_str(), Args[0], List);
+    AnswerKind K = Cmd == "pts"         ? AnswerKind::PointsTo
+                   : Cmd == "pointedby" ? AnswerKind::PointedBy
+                                        : AnswerKind::Callees;
+    Answer A;
+    if (Status S = read(St, K, V, 0, A); !S.ok()) {
+      Out << "error: " << S.toString() << "\n";
       return true;
     }
-    if (Cmd == "pts")
-      printIdList(Out, "pts", Args[0], St->Engine->pointsTo(V));
-    else if (Cmd == "pointedby") {
-      QueryEngine::IdList List;
-      SolveGovernor Gov(Opts.QueryBudget);
-      if (Status S = St->Engine->pointedBy(V, List, &Gov); !S.ok()) {
-        Out << "error: " << S.toString() << "\n";
-        return true;
-      }
-      printIdList(Out, "pointedby", Args[0], List);
-    } else
-      printIdList(Out, "callees", Args[0], St->Engine->callees(V));
+    printIdList(Out, Cmd.c_str(), Args[0], A.List);
     return true;
   }
-  if (Cmd == "alias") {
-    if (Args.size() != 2) {
-      Out << "error: alias expects two nodes\n";
-      return true;
-    }
-    NodeId P = InvalidNode, Q = InvalidNode;
-    if (!resolveNodeRef(*St, Args[0], Out, P) ||
-        !resolveNodeRef(*St, Args[1], Out, Q))
-      return true;
-    bool Verdict = false;
-    if (Tier && !St->Engine) {
-      if (Status S = Tier->alias(P, Q, Verdict); !S.ok()) {
-        Out << "error: " << S.toString() << "\n";
-        return true;
-      }
-    } else {
-      Verdict = St->Engine->alias(P, Q);
-    }
-    obs::noteResultSize(1);
-    Out << "alias(" << Args[0] << "," << Args[1] << ") = "
-        << (Verdict ? "yes" : "no") << "\n";
-    return true;
-  }
-  if (Cmd == "aliasbatch") {
-    if (Args.empty() || Args.size() % 2 != 0) {
-      Out << "error: aliasbatch expects an even number of nodes\n";
+  if (Cmd == "alias" || Cmd == "aliasbatch") {
+    const bool Batch = Cmd == "aliasbatch";
+    if (Batch ? Args.empty() || Args.size() % 2 != 0 : Args.size() != 2) {
+      Out << (Batch ? "error: aliasbatch expects an even number of nodes\n"
+                    : "error: alias expects two nodes\n");
       return true;
     }
     std::vector<std::pair<NodeId, NodeId>> Pairs;
@@ -671,25 +671,23 @@ bool ServeSession::dispatch(const std::string &Cmd,
         return true;
       Pairs.emplace_back(P, Q);
     }
-    std::vector<bool> Verdicts;
-    if (Tier && !St->Engine) {
-      Verdicts.reserve(Pairs.size());
-      for (const auto &[P, Q] : Pairs) {
-        bool V = false;
-        if (Status S = Tier->alias(P, Q, V); !S.ok()) {
-          Out << "error: " << S.toString() << "\n";
-          return true;
-        }
-        Verdicts.push_back(V);
+    if (Batch)
+      obs::observe(obs::Hist::QueryBatch, Pairs.size());
+    std::string Verdicts;
+    for (const auto &[P, Q] : Pairs) {
+      Answer A;
+      if (Status S = read(St, AnswerKind::Alias, P, Q, A); !S.ok()) {
+        Out << "error: " << S.toString() << "\n";
+        return true;
       }
-    } else {
-      Verdicts = St->Engine->aliasBatch(Pairs);
+      Verdicts += A.Verdict ? " yes" : " no";
     }
-    obs::noteResultSize(Verdicts.size());
-    Out << "aliasbatch:";
-    for (bool B : Verdicts)
-      Out << " " << (B ? "yes" : "no");
-    Out << "\n";
+    obs::noteResultSize(Pairs.size());
+    if (Batch)
+      Out << "aliasbatch:" << Verdicts << "\n";
+    else
+      Out << "alias(" << Args[0] << "," << Args[1] << ") =" << Verdicts
+          << "\n";
     return true;
   }
   Out << "error: unknown command '" << Cmd << "' (type 'help')\n";

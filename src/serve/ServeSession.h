@@ -39,6 +39,8 @@
 /// MutateMu and publish it with one pointer swap, so readers never
 /// observe a half-built engine and never wait on a re-solve in
 /// progress (the swap itself is a nanosecond StateMu critical section).
+/// Each epoch owns the session's one answer cache (serve/AnswerCache.h):
+/// a new epoch starts with an empty one, so nothing is ever invalidated.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +51,7 @@
 #include "demand/DemandTier.h"
 #include "obs/EventLog.h"
 #include "obs/RequestContext.h"
+#include "serve/AnswerCache.h"
 #include "serve/IncrementalSolver.h"
 #include "serve/QueryEngine.h"
 #include "serve/Snapshot.h"
@@ -127,8 +130,8 @@ struct ServeCounters {
 /// queries answer through a DemandTier (memoized demand deduction,
 /// escalation to one exhaustive solve on a budget trip), `resolve`
 /// folds deltas into the tier, and whole-solution commands (`callgraph`,
-/// `check`) force the escalation and materialize a QueryEngine over it
-/// with the demand memo attached as its first tier.
+/// `check`) or an escalation materialize an engine epoch over the
+/// exhaustive solution, whose misses ask the demand memo before it.
 class ServeSession {
 public:
   explicit ServeSession(Snapshot Snap, ServeOptions Opts = ServeOptions());
@@ -194,16 +197,21 @@ public:
   /// until the next successful `resolve` swaps the serve state.
   const Snapshot &servingSnapshot() const { return state()->Engine->snapshot(); }
 
-  /// Demand mode's tier (null in snapshot mode).
-  const DemandTier *demandTier() const { return Tier.get(); }
-
 private:
-  /// One immutable serving epoch: the engine (null in demand mode until a
-  /// whole-solution command materializes it) plus the name table matching
-  /// its constraint system. Published via State; never mutated after.
+  using NameTable = std::unordered_map<std::string, NodeId>;
+
+  /// One serving epoch: the engine (null for a demand epoch) plus the
+  /// name table and sizes of its constraint system, fixed at publish.
+  /// Published via State; only its answer cache changes afterwards.
   struct ServeState {
     std::shared_ptr<QueryEngine> Engine;
-    std::shared_ptr<const std::unordered_map<std::string, NodeId>> Names;
+    std::shared_ptr<const NameTable> Names;
+    uint32_t NumNodes = 0;
+    size_t NumConstraints = 0;
+    /// Demand epoch: the tier's version() at publish. Only answers the
+    /// tier gave at this version are cached.
+    uint64_t TierVersion = 0;
+    mutable AnswerCache Answers{AnswerCacheEntries};
   };
   using StatePtr = std::shared_ptr<const ServeState>;
 
@@ -215,15 +223,26 @@ private:
     std::lock_guard<std::mutex> Lock(StateMu);
     State = std::move(St);
   }
-  const ConstraintSystem &systemOf(const ServeState &St) const;
-  static std::shared_ptr<const std::unordered_map<std::string, NodeId>>
-  buildNames(const ConstraintSystem &CS);
+  /// Builds and publishes an epoch over \p Engine's system, or for a
+  /// null \p Engine the tier's (MutateMu held or no reader yet), reusing
+  /// \p Names when given.
+  StatePtr publishEpoch(std::shared_ptr<QueryEngine> Engine,
+                        std::shared_ptr<const NameTable> Names = nullptr);
   bool resolveNodeRef(const ServeState &St, const std::string &Tok,
                       std::ostream &Out, NodeId &Id) const;
   /// Demand mode: forces the tier's escalation, publishes a state with an
   /// Engine over the exhaustive solution (idempotent) and repoints \p St
   /// at it. Snapshot mode: no-op ok.
   Status materializeEngine(StatePtr &St);
+  /// The one read path of pts, pointedby, callees, alias and aliasbatch:
+  /// the epoch's answer cache, then on a miss the demand memo and the
+  /// engine (engine epoch) or the tier (demand epoch). Once the tier has
+  /// escalated, repoints \p St at the engine epoch first. \p B is the
+  /// second alias operand.
+  Status read(StatePtr &St, AnswerKind K, NodeId A, NodeId B, Answer &Out);
+  /// A cache miss of read(): the answer from the epoch's sources.
+  Status answerMiss(const ServeState &St, AnswerKind K, NodeId A, NodeId B,
+                    Answer &Out);
   void cmdCheck(StatePtr &St, std::ostream &Out);
   void cmdResolve(const std::string &Path, std::ostream &Out);
   void cmdStats(const ServeState &St, std::ostream &Out, bool Json);
@@ -260,9 +279,9 @@ private:
   /// epoch protocol must stay provably clean under TSan in CI.
   StatePtr State;
   mutable std::mutex StateMu;
-  /// Demand mode's first tier (null in snapshot mode). Shared with every
-  /// materialized Engine as its attached memo; internally thread-safe.
-  std::shared_ptr<DemandTier> Tier;
+  /// Demand mode's tier (null in snapshot mode); its memo also answers
+  /// ahead of materialized engines. Internally thread-safe.
+  std::unique_ptr<DemandTier> Tier;
   /// Warm-start base: always the newest *precise* snapshot (null when the
   /// session was started from a fallback snapshot). Guarded by MutateMu.
   std::unique_ptr<IncrementalSolver> Inc;

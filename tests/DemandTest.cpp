@@ -9,9 +9,10 @@
 /// DemandSolver answer bit-equal to the exhaustive solution of every
 /// solver kind, tier escalation on budget
 /// trips (sound fallback preserved, unsound partial state never served),
-/// delta adoption with memo invalidation, the QueryEngine memo tier, the
-/// governed reverse-index build, demand-mode serving sessions, and the
-/// `ptatool query` exit codes end to end.
+/// delta adoption with memo invalidation, the demand memo ahead of a
+/// materialized engine, the governed reverse-index build, demand-mode
+/// serving sessions (concurrent readers across an escalation and a
+/// resolve included), and the `ptatool query` exit codes end to end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #include "adt/Rng.h"
 #include "check/Differential.h"
 #include "core/SolveBudget.h"
+#include "obs/EventLog.h"
 #include "obs/MetricsRegistry.h"
 #include "obs/Obs.h"
 #include "serve/QueryEngine.h"
@@ -31,6 +33,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -101,6 +105,35 @@ SolveBudget trippedBudget() {
   B.Cancel = CancelToken::create();
   B.Cancel.requestCancel();
   return B;
+}
+
+/// The session's reply to \p Line.
+std::string reply(ServeSession &Session, const std::string &Line) {
+  std::ostringstream Out;
+  Session.handleLine(Line, Out);
+  return Out.str();
+}
+
+/// The exact reply to `pts|pointedby|alias <args>` under \p Sol.
+std::string expectedReply(const PointsToSolution &Sol, uint32_t NumNodes,
+                          const std::string &Cmd, NodeId A, NodeId B) {
+  std::ostringstream Out;
+  if (Cmd == "alias") {
+    Out << "alias(" << A << "," << B << ") = "
+        << (Sol.mayAlias(A, B) ? "yes" : "no") << "\n";
+    return Out.str();
+  }
+  Out << Cmd << "(" << A << "):";
+  if (Cmd == "pts") {
+    for (NodeId O : Sol.pointsToVector(A))
+      Out << " " << O;
+  } else {
+    for (NodeId V = 0; V != NumNodes; ++V)
+      if (Sol.pointsToObj(V, A))
+        Out << " " << V;
+  }
+  Out << "\n";
+  return Out.str();
 }
 
 TEST(DemandSolver, PointsToMatchesEveryExhaustiveKind) {
@@ -353,33 +386,42 @@ TEST(DemandQueryEngine, MemoAnswersAheadOfSnapshotSolution) {
   Reg.reset();
 
   ConstraintSystem CS = demandWorkloads().front();
-  auto Tier = std::make_shared<DemandTier>(CS);
-  // Certify a handful of classes before the engine ever answers.
-  for (NodeId V = 0; V != 8; ++V) {
-    DemandTier::IdList L;
-    ASSERT_TRUE(Tier->pointsTo(V, L).ok());
-  }
+  const PointsToSolution Sol =
+      solveFnFor(SolverKind::LCDHCD, PtsRepr::Bitmap)(CS);
+  const uint32_t N = CS.numNodes();
+  std::ostringstream EventSink;
+  obs::EventLog::Options EO;
+  EO.ManualDrain = true;
+  auto Events = std::make_shared<obs::EventLog>(EventSink, EO);
+  ServeOptions SO;
+  SO.Events = Events;
+  ServeSession Session(CS, SO);
 
-  QueryEngine::Options QO;
-  QO.CacheCapacity = 0; // Force every query through the memo probe.
-  QueryEngine Engine(makeSnap(CS), QO);
-  Engine.attachDemandMemo(Tier);
+  // Certify a handful of classes on the demand path, then materialize
+  // the engine epoch: its answer cache starts empty.
+  for (NodeId V = 0; V != 8; ++V)
+    ASSERT_EQ(reply(Session, "pts " + std::to_string(V)),
+              expectedReply(Sol, N, "pts", V, 0));
+  ASSERT_EQ(reply(Session, "callgraph").rfind("callgraph: ", 0), 0u);
+  Events->drain();
+  EventSink.str("");
 
   const uint64_t Hits0 = Reg.counterValue(obs::Counter::DemandMemoHits);
   for (NodeId V = 0; V != 8; ++V)
-    EXPECT_EQ(*Engine.pointsTo(V),
-              Engine.snapshot().Solution.pointsToVector(V))
-        << "node " << V;
+    EXPECT_EQ(reply(Session, "pts " + std::to_string(V)),
+              expectedReply(Sol, N, "pts", V, 0));
   EXPECT_GT(Reg.counterValue(obs::Counter::DemandMemoHits), Hits0)
       << "certified classes must answer from the demand memo";
+  Events->drain();
+  EXPECT_NE(EventSink.str().find("\"memo_hit\":true"), std::string::npos)
+      << EventSink.str();
 
   // Uncertified nodes fall through to the snapshot solution.
-  for (NodeId V = 8; V != std::min(CS.numNodes(), 24u); ++V)
-    EXPECT_EQ(*Engine.pointsTo(V),
-              Engine.snapshot().Solution.pointsToVector(V))
-        << "node " << V;
-  bool MemoVerdict = Engine.alias(0, 1);
-  EXPECT_EQ(MemoVerdict, Engine.snapshot().Solution.mayAlias(0, 1));
+  for (NodeId V = 8; V != std::min(N, 24u); ++V)
+    EXPECT_EQ(reply(Session, "pts " + std::to_string(V)),
+              expectedReply(Sol, N, "pts", V, 0));
+  EXPECT_EQ(reply(Session, "alias 0 1"), expectedReply(Sol, N, "alias", 0, 1));
+  Events->close();
   obs::setMetricsEnabled(false);
 }
 
@@ -409,6 +451,9 @@ TEST(DemandQueryEngine, GovernedReverseIndexBuildTripsAndRetries) {
 }
 
 TEST(DemandServe, DemandModeMatchesSnapshotModeAnswers) {
+  obs::MetricsRegistry &Reg = obs::MetricsRegistry::instance();
+  obs::setMetricsEnabled(true);
+  Reg.reset();
   ConstraintSystem CS = demandWorkloads().front();
   ServeSession SnapMode(makeSnap(CS));
   ServeSession DemandMode(CS);
@@ -422,9 +467,148 @@ TEST(DemandServe, DemandModeMatchesSnapshotModeAnswers) {
     EXPECT_EQ(A.str(), B.str()) << "command: " << Line;
   }
 
+  // One query_batch sample per aliasbatch, whichever mode served it.
+  EXPECT_EQ(Reg.histCount(obs::Hist::QueryBatch), 2u);
+  obs::setMetricsEnabled(false);
+
   std::ostringstream StatsOut;
   EXPECT_TRUE(DemandMode.handleLine("stats", StatsOut));
   EXPECT_NE(StatsOut.str().find("demand: memo_complete"), std::string::npos);
+}
+
+TEST(DemandServe, EscalatedAnswerStaysOutOfTheDemandEpochCache) {
+  ConstraintSystem CS = demandWorkloads().front();
+  const PointsToSolution Sol =
+      solveFnFor(SolverKind::LCDHCD, PtsRepr::Bitmap)(CS);
+  ServeOptions SO;
+  SO.QueryBudget = trippedBudget();
+  ServeSession Session(CS, SO);
+
+  // The deduction trips and escalates; the answer is exact but came from
+  // the escalation, so the demand epoch's cache stays empty.
+  EXPECT_EQ(reply(Session, "pts 3"), expectedReply(Sol, CS.numNodes(), "pts", 3, 0));
+  EXPECT_EQ(reply(Session, "stats").rfind("stats: hits 0 misses 1 evictions 0 "
+                                          "entries 0\n", 0),
+            0u);
+  // The next read materializes the engine epoch, which caches.
+  EXPECT_EQ(reply(Session, "pts 3"), expectedReply(Sol, CS.numNodes(), "pts", 3, 0));
+  EXPECT_EQ(reply(Session, "pts 3"), expectedReply(Sol, CS.numNodes(), "pts", 3, 0));
+  EXPECT_EQ(reply(Session, "stats").rfind("stats: hits 1 misses 1 evictions 0 "
+                                          "entries 1\n", 0),
+            0u);
+}
+
+TEST(DemandServe, ConcurrentReadersAnswerFromTheirEpoch) {
+  // Readers query pts/alias/pointedby while the per-query budget starts
+  // tripping (so one query escalates) and a resolve lands. Every reply
+  // must be the exhaustive answer of the system it ran on: the base if
+  // it finished before the resolve began, the delta if it began after
+  // the resolve returned, either in between.
+  ConstraintSystem Base = demandWorkloads()[1];
+  ConstraintSystem Delta = Base;
+  NodeId Fresh = Delta.addNode("fresh_obj");
+  NodeId FreshPtr = Delta.addNode("fresh_ptr");
+  Delta.addAddressOf(FreshPtr, Fresh);
+  Delta.addCopy(0, FreshPtr);
+  Delta.addCopy(5, 0);
+  Delta.addAddressOf(2, 1);
+  Delta.addStore(2, FreshPtr);
+  std::string Path = ::testing::TempDir() + "demand_serve_concurrent.cons";
+  ASSERT_TRUE(Delta.writeToFile(Path));
+  const PointsToSolution BaseSol =
+      solveFnFor(SolverKind::LCDHCD, PtsRepr::Bitmap)(Base);
+  const PointsToSolution DeltaSol =
+      solveFnFor(SolverKind::LCDHCD, PtsRepr::Bitmap)(Delta);
+  const uint32_t N = Base.numNodes();
+
+  // The readers' lines with both systems' replies, computed up front:
+  // a solution lookup moves its set's cursor, so threads cannot share
+  // one. The pool is the low nodes, so the main thread's probe range
+  // (the high ones) stays uncertified.
+  struct Probe {
+    std::string Line, OnBase, OnDelta;
+  };
+  std::vector<Probe> Probes;
+  const NodeId PoolEnd = std::min<NodeId>(N / 3, 48);
+  for (NodeId A = 0; A != PoolEnd; ++A)
+    for (const char *Cmd : {"pts", "pointedby", "alias"})
+      for (NodeId B = 0; B != (Cmd[0] == 'a' ? PoolEnd : 1); ++B) {
+        std::ostringstream Line;
+        Line << Cmd << " " << A;
+        if (Cmd[0] == 'a')
+          Line << " " << B;
+        Probes.push_back({Line.str(), expectedReply(BaseSol, N, Cmd, A, B),
+                          expectedReply(DeltaSol, Delta.numNodes(), Cmd, A,
+                                        B)});
+      }
+  ASSERT_TRUE(std::any_of(Probes.begin(), Probes.end(),
+                          [](const Probe &P) { return P.OnBase != P.OnDelta; }))
+      << "test premise: the delta must change some answers";
+
+  ServeOptions SO;
+  SO.QueryBudget.Cancel = CancelToken::create();
+  ServeSession Session(Base, SO);
+
+  constexpr unsigned NumReaders = 4;
+  std::atomic<bool> ResolveStarted{false}, ResolveDone{false}, Stop{false};
+  std::vector<std::vector<std::string>> Failures(NumReaders);
+  std::vector<unsigned> Replies(NumReaders, 0);
+  std::vector<std::thread> Readers;
+  for (unsigned T = 0; T != NumReaders; ++T)
+    Readers.emplace_back([&, T] {
+      Rng R(31 + T);
+      while (!Stop.load()) {
+        const Probe &P = Probes[R.nextBelow(Probes.size())];
+        const bool After = ResolveDone.load();
+        std::string Got = reply(Session, P.Line);
+        const bool Before = !ResolveStarted.load();
+        bool Ok = Before  ? Got == P.OnBase
+                  : After ? Got == P.OnDelta
+                          : Got == P.OnBase || Got == P.OnDelta;
+        if (!Ok)
+          Failures[T].push_back(P.Line + " -> " + Got);
+        ++Replies[T];
+      }
+    });
+
+  // Progress is read through the session's request count (readers own
+  // their Replies slots until joined).
+  auto Requests = [&] { return Session.counters().Requests; };
+  auto WaitRequests = [&](uint64_t Target) {
+    while (Requests() < Target)
+      std::this_thread::yield();
+  };
+
+  // Demand phase: exact answers into the base demand epoch.
+  WaitRequests(200);
+  // From now on every uncertified deduction trips; the main thread's
+  // probe (outside the readers' pool) makes sure one query escalates.
+  SO.QueryBudget.Cancel.requestCancel();
+  for (NodeId V = N - 1; V > PoolEnd; --V) {
+    EXPECT_EQ(reply(Session, "pts " + std::to_string(V)),
+              expectedReply(BaseSol, N, "pts", V, 0));
+    if (reply(Session, "stats").find("escalated yes") != std::string::npos)
+      break;
+  }
+  EXPECT_NE(reply(Session, "stats").find("escalated yes"), std::string::npos);
+  WaitRequests(Requests() + 200);
+
+  ResolveStarted.store(true);
+  EXPECT_EQ(reply(Session, "resolve " + Path).rfind(
+                "resolved: demand delta adopted", 0),
+            0u);
+  ResolveDone.store(true);
+  WaitRequests(Requests() + 400);
+  Stop.store(true);
+  for (std::thread &Th : Readers)
+    Th.join();
+
+  for (unsigned T = 0; T != NumReaders; ++T) {
+    EXPECT_GT(Replies[T], 0u) << "reader " << T;
+    EXPECT_TRUE(Failures[T].empty())
+        << "reader " << T << ": " << Failures[T].front();
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(DemandServe, ResolveFoldsDeltaAndReturnsToDemandPath) {

@@ -121,9 +121,6 @@ TEST(LruCacheShard, ConcurrentEvictionUnderPressure) {
   std::optional<uint64_t> V = Cache.get(999999);
   ASSERT_TRUE(V.has_value());
   EXPECT_EQ(*V, 42u);
-
-  Cache.clear();
-  EXPECT_EQ(Cache.size(), 0u);
 }
 
 } // namespace

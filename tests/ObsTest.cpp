@@ -23,7 +23,7 @@
 #include "adt/MemTracker.h"
 #include "adt/Status.h"
 #include "constraints/OfflineVariableSubstitution.h"
-#include "serve/QueryEngine.h"
+#include "serve/ServeSession.h"
 #include "solvers/Solve.h"
 #include "workload/WorkloadGen.h"
 
@@ -32,6 +32,7 @@
 #include <cstring>
 #include <iterator>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -309,22 +310,25 @@ TEST_F(ObsTest, QuerySpansMatchServeCounter) {
                         nullptr, SolverOptions(), &W.Rep);
   Snap.CS = W.Reduced;
   Snap.SeedReps = W.Rep;
-  QueryEngine Engine(std::move(Snap));
+  ServeSession Session(std::move(Snap));
 
   obs::TraceRecorder::instance().clear();
   Reg.reset();
   const uint32_t N = W.Reduced.numNodes();
+  std::ostringstream Replies;
   for (NodeId V = 0; V != 20 && V != N; ++V) {
-    (void)Engine.pointsTo(V);
-    (void)Engine.alias(V, (V + 1) % N);
-    QueryEngine::IdList PB;
-    (void)Engine.pointedBy(V, PB);
+    const std::string Id = std::to_string(V);
+    Session.handleLine("pts " + Id, Replies);
+    Session.handleLine("alias " + Id + " " + std::to_string((V + 1) % N),
+                       Replies);
+    Session.handleLine("pointedby " + Id, Replies);
   }
 
   size_t QuerySpans = 0;
   for (const obs::TraceEvent &E : obs::TraceRecorder::instance().events())
     if (E.Phase == 'B' && std::strncmp(E.Name, "query.", 6) == 0)
       ++QuerySpans;
+  EXPECT_GT(QuerySpans, 0u);
   EXPECT_EQ(QuerySpans, Reg.counterValue(obs::Counter::ServeQueries));
   EXPECT_EQ(Reg.counterValue(obs::Counter::ServeLruHits) +
                 Reg.counterValue(obs::Counter::ServeLruMisses),

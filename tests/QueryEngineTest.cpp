@@ -6,13 +6,14 @@
 ///
 /// \file
 /// QueryEngine correctness against brute-force evaluation of the
-/// underlying PointsToSolution, cache behaviour (representative-keyed
-/// sharing, disabled-cache baseline, eviction), the batch API, the
+/// underlying PointsToSolution, the serve epoch's answer cache over it
+/// (representative-keyed sharing), the aliasbatch command, the
 /// function-pointer call graph, and the `ptatool serve` REPL end to end.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "serve/QueryEngine.h"
+#include "serve/ServeSession.h"
 
 #include "adt/Rng.h"
 #include "constraints/OfflineVariableSubstitution.h"
@@ -113,9 +114,26 @@ TEST(QueryEngine, CallGraphEdgesFromDereferencedFunctionPointers) {
   EXPECT_EQ(Engine.callGraph(), Expected);
 }
 
+/// The session's reply to \p Line.
+std::string reply(ServeSession &Session, const std::string &Line) {
+  std::ostringstream Out;
+  Session.handleLine(Line, Out);
+  return Out.str();
+}
+
+/// Hits and misses of the current epoch's answer cache, from `stats`.
+std::pair<uint64_t, uint64_t> cacheHitsMisses(ServeSession &Session) {
+  std::istringstream In(reply(Session, "stats"));
+  std::string Stats, HitsWord, MissesWord;
+  uint64_t Hits = 0, Misses = 0;
+  In >> Stats >> HitsWord >> Hits >> MissesWord >> Misses;
+  EXPECT_EQ(Stats + HitsWord + MissesWord, "stats:hitsmisses");
+  return {Hits, Misses};
+}
+
 TEST(QueryEngine, CacheIsKeyedOnRepresentatives) {
   // x and y form a copy cycle: the solve collapses them into one class,
-  // so their pointsTo results share a single cache entry.
+  // so their pointsTo answers share a single cache entry.
   ConstraintSystem CS;
   NodeId X = CS.addNode("x"), Y = CS.addNode("y"), O = CS.addNode("o");
   CS.addAddressOf(X, O);
@@ -124,66 +142,43 @@ TEST(QueryEngine, CacheIsKeyedOnRepresentatives) {
   Snapshot Snap = makeSnapshot(CS, SolverKind::LCD);
   ASSERT_EQ(Snap.Solution.repOf(X), Snap.Solution.repOf(Y))
       << "test premise: the cycle must have been collapsed";
-  QueryEngine Engine(std::move(Snap));
+  ServeSession Session(std::move(Snap));
+  const std::string OStr = std::to_string(O);
 
-  EXPECT_EQ(*Engine.pointsTo(X), (std::vector<NodeId>{O}));
-  CacheStats S1 = Engine.cacheStats();
-  EXPECT_EQ(S1.Hits, 0u);
-  EXPECT_EQ(S1.Misses, 1u);
+  EXPECT_EQ(reply(Session, "pts x"), "pts(x): " + OStr + "\n");
+  EXPECT_EQ(cacheHitsMisses(Session), std::make_pair(uint64_t(0), uint64_t(1)));
 
-  EXPECT_EQ(*Engine.pointsTo(Y), (std::vector<NodeId>{O}));
-  CacheStats S2 = Engine.cacheStats();
-  EXPECT_EQ(S2.Hits, 1u) << "class member must hit its rep's entry";
-  EXPECT_EQ(S2.Misses, 1u);
+  EXPECT_EQ(reply(Session, "pts y"), "pts(y): " + OStr + "\n");
+  EXPECT_EQ(cacheHitsMisses(Session), std::make_pair(uint64_t(1), uint64_t(1)))
+      << "class member must hit its rep's entry";
 
   // Same canonicalization for alias verdicts, in either argument order.
-  EXPECT_TRUE(Engine.alias(X, Y));
-  EXPECT_TRUE(Engine.alias(Y, X));
-  EXPECT_EQ(Engine.cacheStats().Hits, 2u);
-}
-
-TEST(QueryEngine, ZeroCapacityDisablesCaching) {
-  QueryEngine::Options Opts;
-  Opts.CacheCapacity = 0;
-  QueryEngine Engine(makeSnapshot(benchSystem()), Opts);
-  for (int Round = 0; Round != 3; ++Round)
-    for (NodeId V = 0; V != 10; ++V)
-      (void)Engine.pointsTo(V);
-  CacheStats S = Engine.cacheStats();
-  EXPECT_EQ(S.Hits, 0u);
-  EXPECT_EQ(S.Entries, 0u);
-  EXPECT_GT(S.Misses, 0u);
-}
-
-TEST(QueryEngine, TinyCacheEvictsButStaysCorrect) {
-  QueryEngine::Options Opts;
-  Opts.CacheCapacity = 2; // One list entry, one alias entry.
-  Opts.CacheShards = 1;
-  Snapshot Snap = makeSnapshot(benchSystem());
-  const PointsToSolution Expected = Snap.Solution;
-  const uint32_t N = Snap.CS.numNodes();
-  QueryEngine Engine(std::move(Snap), Opts);
-  for (int Round = 0; Round != 2; ++Round)
-    for (NodeId V = 0; V != N; ++V)
-      EXPECT_EQ(*Engine.pointsTo(V), Expected.pointsToVector(V));
-  CacheStats S = Engine.cacheStats();
-  EXPECT_GT(S.Evictions, 0u);
-  EXPECT_LE(S.Entries, 2u);
+  EXPECT_EQ(reply(Session, "alias x y"), "alias(x,y) = yes\n");
+  EXPECT_EQ(reply(Session, "alias y x"), "alias(y,x) = yes\n");
+  EXPECT_EQ(cacheHitsMisses(Session).first, 2u);
 }
 
 TEST(QueryEngine, BatchMatchesIndividualQueries) {
   Snapshot Snap = makeSnapshot(benchSystem());
   const uint32_t N = Snap.CS.numNodes();
-  QueryEngine Engine(std::move(Snap));
+  const PointsToSolution Expected = Snap.Solution;
+  ServeSession Session(std::move(Snap));
   Rng R(13);
-  std::vector<std::pair<NodeId, NodeId>> Pairs;
-  for (int I = 0; I != 100; ++I)
-    Pairs.emplace_back(static_cast<NodeId>(R.nextBelow(N)),
-                       static_cast<NodeId>(R.nextBelow(N)));
-  std::vector<bool> Batch = Engine.aliasBatch(Pairs);
-  ASSERT_EQ(Batch.size(), Pairs.size());
-  for (size_t I = 0; I != Pairs.size(); ++I)
-    EXPECT_EQ(Batch[I], Engine.alias(Pairs[I].first, Pairs[I].second)) << I;
+  std::ostringstream Batch, Individual;
+  Batch << "aliasbatch";
+  Individual << "aliasbatch:";
+  for (int I = 0; I != 100; ++I) {
+    NodeId P = static_cast<NodeId>(R.nextBelow(N));
+    NodeId Q = static_cast<NodeId>(R.nextBelow(N));
+    Batch << " " << P << " " << Q;
+    std::ostringstream Alias;
+    Alias << "alias " << P << " " << Q;
+    std::string One = reply(Session, Alias.str());
+    bool Yes = One.find("= yes") != std::string::npos;
+    EXPECT_EQ(Yes, Expected.mayAlias(P, Q)) << One;
+    Individual << (Yes ? " yes" : " no");
+  }
+  EXPECT_EQ(reply(Session, Batch.str()), Individual.str() + "\n");
 }
 
 #ifdef AG_PTATOOL_PATH
